@@ -19,8 +19,7 @@ Subcommands:
   saved JSONL trace): per-kernel time share, critical path, worker
   utilization; ``--diff`` reports per-kernel sim-vs-real prediction
   error, ``--chrome`` exports Chrome Trace Event JSON, ``--profile-out``
-  feeds a kernel profile store, ``--perf-out`` appends a perf
-  trajectory point.
+  feeds a kernel profile store.
 * ``top <n>`` — run a live factorization with the in-run telemetry
   pipeline on and render a refreshing dashboard: per-device progress,
   EWMA kernel durations, critical-path ETA, straggler flags
@@ -273,6 +272,34 @@ def _resolve_tree_cli(tree, n: int, tile_size: int) -> str:
     return canonical_tree(tree)
 
 
+def _make_runtime(args, options, n: int):
+    """The runtime ``--runtime`` names, built over one ``RunOptions``.
+
+    ``--workers`` sizes the threaded pool; the multiprocess runtime runs
+    the optimizer's plan for an ``n x n`` matrix on the paper testbed
+    (``--devices`` devices when the command has that option).
+    """
+    kwargs = vars(options)
+    if args.runtime == "threaded":
+        from .runtime.threaded import ThreadedRuntime
+
+        return ThreadedRuntime(args.workers, **kwargs)
+    if args.runtime == "multiprocess":
+        from .core.optimizer import Optimizer
+        from .devices.registry import paper_testbed
+        from .runtime.multiprocess import MultiprocessRuntime
+
+        plan = Optimizer(paper_testbed()).plan(
+            matrix_size=n,
+            tile_size=args.tile_size,
+            num_devices=getattr(args, "devices", None),
+        )
+        return MultiprocessRuntime(plan, **kwargs)
+    from .runtime.serial import SerialRuntime
+
+    return SerialRuntime(**kwargs)
+
+
 def _cmd_factorize(args) -> int:
     from .core.executor import TiledQR
     from .devices.registry import paper_testbed
@@ -314,13 +341,8 @@ def _factorize_checkpointed(args, a) -> int:
     TiledQR executor."""
     from .errors import ReproError
     from .observability import MetricsRegistry
-    from .runtime.checkpoint import (
-        CheckpointError,
-        load_partial_factorization,
-        resume_factorization,
-    )
-    from .runtime.serial import SerialRuntime
-    from .runtime.threaded import ThreadedRuntime
+    from .runtime import RunOptions
+    from .runtime.checkpoint import CheckpointError, load_partial_factorization
     from .utils import frobenius_relative_error
 
     if (args.checkpoint_every is None) != (args.checkpoint_out is None):
@@ -330,24 +352,17 @@ def _factorize_checkpointed(args, a) -> int:
         )
         return EXIT_CONFIG
     metrics = MetricsRegistry()
-    kwargs = dict(
-        elimination=_resolve_tree_cli(args.tree, args.n, args.tile_size),
-        batch_updates=args.batch_updates,
-        metrics=metrics,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=args.checkpoint_out,
-        backend=args.backend,
-        bundle_out=args.bundle_out,
-    )
+    elimination = _resolve_tree_cli(args.tree, args.n, args.tile_size)
 
     try:
+        state = None
         if args.resume:
             state = load_partial_factorization(args.resume)
             if args.tree is None:
                 # No explicit --tree: adopt the snapshot's recorded tree.
                 # An explicit --tree that disagrees with the snapshot is
                 # a CheckpointError from the runtime's resume validation.
-                kwargs["elimination"] = state.elimination
+                elimination = state.elimination
             if state.shape != a.shape:
                 print(
                     f"snapshot {args.resume} is for a {state.shape} matrix, "
@@ -357,16 +372,19 @@ def _factorize_checkpointed(args, a) -> int:
                 return 2
             ntasks = len(state.completed)
             print(f"resuming from {args.resume} ({ntasks} task(s) already done)")
-            if args.runtime == "threaded":
-                runtime = ThreadedRuntime(num_workers=args.workers, **kwargs)
-            else:
-                runtime = SerialRuntime(**kwargs)
-            fact = resume_factorization(args.resume, runtime=runtime)
+        options = RunOptions(
+            elimination=elimination,
+            batch_updates=args.batch_updates,
+            metrics=metrics,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_path=args.checkpoint_out,
+            backend=args.backend,
+            bundle_out=args.bundle_out,
+        )
+        runtime = _make_runtime(args, options, args.n)
+        if state is not None:
+            fact = runtime.factorize(state.tiled, resume=state)
         else:
-            if args.runtime == "threaded":
-                runtime = ThreadedRuntime(num_workers=args.workers, **kwargs)
-            else:
-                runtime = SerialRuntime(**kwargs)
             fact = runtime.factorize(a, args.tile_size)
     except KeyboardInterrupt:
         print("\ninterrupted", file=sys.stderr)
@@ -398,13 +416,12 @@ def _cmd_chaos(args) -> int:
     from .errors import ReproError, ResilienceError
     from .observability import MetricsRegistry, Tracer, write_jsonl
     from .resilience import (
-        ChaosEngine,
         FaultPlan,
         ResilienceReport,
         RetryPolicy,
         resilience_counters,
     )
-    from .runtime import tiled_qr
+    from .runtime import RunOptions, tiled_qr
 
     if args.n > 2048:
         print("numeric factorization is NumPy-bound; use n <= 2048", file=sys.stderr)
@@ -436,53 +453,23 @@ def _cmd_chaos(args) -> int:
         from .observability import TelemetryBus
 
         bus = TelemetryBus()
+    options = RunOptions(
+        elimination=tree,
+        tracer=tracer,
+        retry_policy=policy,
+        chaos=plan,
+        metrics=metrics,
+        health_checks=args.health_checks,
+        bus=bus,
+        bundle_out=args.bundle_out,
+    )
     t0 = perf_counter()
     try:
-        if args.runtime == "multiprocess":
-            from .core.optimizer import Optimizer
-            from .devices.registry import paper_testbed
-
-            dist = Optimizer(paper_testbed()).plan(
-                matrix_size=args.n,
-                tile_size=args.tile_size,
-                num_devices=args.devices,
-            )
+        runtime = _make_runtime(args, options, args.n)
+        dist = runtime.plan
+        if dist is not None:
             print(f"devices: {', '.join(dist.participants)} (main {dist.main_device})")
-            from .runtime.multiprocess import MultiprocessRuntime
-
-            fact = MultiprocessRuntime(
-                dist,
-                elimination=tree,
-                tracer=tracer,
-                retry_policy=policy,
-                chaos_plan=plan,
-                metrics=metrics,
-                health_checks=args.health_checks,
-                bus=bus,
-                bundle_out=args.bundle_out,
-            ).factorize(a, args.tile_size)
-        else:
-            chaos = ChaosEngine(plan, metrics=metrics, tracer=tracer, bus=bus)
-            kwargs = dict(
-                elimination=tree,
-                tracer=tracer,
-                retry_policy=policy,
-                chaos=chaos,
-                metrics=metrics,
-                health_checks=args.health_checks,
-                bus=bus,
-                bundle_out=args.bundle_out,
-            )
-            if args.runtime == "threaded":
-                from .runtime.threaded import ThreadedRuntime
-
-                fact = ThreadedRuntime(num_workers=args.workers, **kwargs).factorize(
-                    a, args.tile_size
-                )
-            else:
-                from .runtime.serial import SerialRuntime
-
-                fact = SerialRuntime(**kwargs).factorize(a, args.tile_size)
+        fact = runtime.factorize(a, args.tile_size)
     except KeyboardInterrupt:
         print("\ninterrupted", file=sys.stderr)
         _bundle_hint(args.bundle_out)
@@ -574,17 +561,18 @@ def _cmd_top(args) -> int:
     from .errors import ReproError, ResilienceError
     from .observability import MetricsRegistry, render_dashboard
     from .observability.live.dashboard import ANSI_REPAINT
-    from .resilience import ChaosEngine, FaultPlan, RetryPolicy
+    from .resilience import FaultPlan, RetryPolicy
+    from .runtime import RunOptions
 
     if args.n > 2048:
         print("numeric factorization is NumPy-bound; use n <= 2048", file=sys.stderr)
         return 2
     if not _resolve_backend_arg(args.backend):
         return 2
-    chaos_plan = None
+    fault_plan = None
     if args.chaos:
         try:
-            chaos_plan = FaultPlan.load(args.chaos)
+            fault_plan = FaultPlan.load(args.chaos)
         except (ResilienceError, OSError) as exc:
             print(f"cannot load fault plan {args.chaos}: {exc}", file=sys.stderr)
             return 2
@@ -601,7 +589,7 @@ def _cmd_top(args) -> int:
             args.bundle_out,
             bus=bus,
             metrics=metrics,
-            fault_plan=chaos_plan,
+            fault_plan=fault_plan,
             tracker=tracker,
             meta={
                 "runtime": args.runtime, "n": args.n, "b": args.tile_size,
@@ -609,40 +597,16 @@ def _cmd_top(args) -> int:
             },
         )
     policy = None
-    if chaos_plan is not None or args.deadline is not None:
+    if fault_plan is not None or args.deadline is not None:
         policy = RetryPolicy(max_attempts=3, backoff=0.0, deadline=args.deadline)
 
     rng = np.random.default_rng(args.seed)
     a = rng.standard_normal((args.n, args.n))
-    kwargs = dict(
-        elimination=tree, batch_updates=args.batch_updates,
-        retry_policy=policy, metrics=metrics, backend=args.backend, bus=bus,
+    options = RunOptions(
+        elimination=tree, batch_updates=args.batch_updates, retry_policy=policy,
+        chaos=fault_plan, metrics=metrics, backend=args.backend, bus=bus,
     )
-    if args.runtime == "multiprocess":
-        from .core.optimizer import Optimizer
-        from .devices.registry import paper_testbed
-        from .runtime.multiprocess import MultiprocessRuntime
-
-        dist = Optimizer(paper_testbed()).plan(
-            matrix_size=args.n, tile_size=args.tile_size, num_devices=args.devices
-        )
-        runtime = MultiprocessRuntime(dist, chaos_plan=chaos_plan, **kwargs)
-    elif args.runtime == "threaded":
-        from .runtime.threaded import ThreadedRuntime
-
-        chaos = (
-            ChaosEngine(chaos_plan, metrics=metrics, bus=bus)
-            if chaos_plan is not None else None
-        )
-        runtime = ThreadedRuntime(num_workers=args.workers, chaos=chaos, **kwargs)
-    else:
-        from .runtime.serial import SerialRuntime
-
-        chaos = (
-            ChaosEngine(chaos_plan, metrics=metrics, bus=bus)
-            if chaos_plan is not None else None
-        )
-        runtime = SerialRuntime(chaos=chaos, **kwargs)
+    runtime = _make_runtime(args, options, args.n)
 
     outcome: dict = {}
 
@@ -871,12 +835,11 @@ def _cmd_trace(args) -> int:
         expand_batched,
         load_jsonl,
         provenance_meta,
-        record_traced_run,
         summarize_trace,
         write_jsonl,
     )
-
     from .errors import ObservabilityError
+    from .runtime import RunOptions
 
     target = args.target
     if Path(target).is_file():
@@ -922,34 +885,16 @@ def _cmd_trace(args) -> int:
     rng = np.random.default_rng(args.seed)
     a = rng.standard_normal((n, n))
     tree = _resolve_tree_cli(args.tree, n, args.tile_size)
-    plan = None
-    if args.runtime == "serial":
-        from .runtime.serial import SerialRuntime
-
-        SerialRuntime(
+    runtime = _make_runtime(
+        args,
+        RunOptions(
             elimination=tree, tracer=tracer,
             batch_updates=args.batch_updates, backend=args.backend,
-        ).factorize(a, args.tile_size)
-    elif args.runtime == "threaded":
-        from .runtime.threaded import ThreadedRuntime
-
-        ThreadedRuntime(
-            num_workers=args.workers, elimination=tree, tracer=tracer,
-            batch_updates=args.batch_updates, backend=args.backend,
-        ).factorize(a, args.tile_size)
-    else:
-        from .core.optimizer import Optimizer
-        from .devices.registry import paper_testbed
-        from .observability import DecisionAudit
-        from .runtime.multiprocess import MultiprocessRuntime
-
-        plan = Optimizer(paper_testbed()).plan(
-            matrix_size=n, tile_size=args.tile_size, audit=DecisionAudit()
-        )
-        MultiprocessRuntime(
-            plan, tracer=tracer, batch_updates=args.batch_updates,
-            elimination=tree, backend=args.backend,
-        ).factorize(a, args.tile_size)
+        ),
+        n,
+    )
+    runtime.factorize(a, args.tile_size)
+    plan = runtime.plan
     trace = tracer.to_trace()
     trace.meta["elimination"] = tree
     trace.meta["runtime"] = args.runtime
@@ -1001,12 +946,6 @@ def _cmd_trace(args) -> int:
             },
             backend=args.backend or "reference",
         )
-    if args.perf_out:
-        path = record_traced_run(
-            args.perf_out, args.runtime, n, args.tile_size, trace,
-            extra={"batch_updates": args.batch_updates, "tree": tree},
-        )
-        print(f"perf trajectory appended to {path}")
     if args.diff is not None:
         from .core.executor import TiledQR
         from .devices.registry import paper_testbed
@@ -1294,12 +1233,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="STORE.json",
         help="ingest the trace into this kernel profile store (created if "
         "missing) and print measured stats + drift vs calibration",
-    )
-    p_trace.add_argument(
-        "--perf-out",
-        metavar="BENCH.json",
-        help="append makespan/compute time to this perf trajectory "
-        "(checked by `tiledqr perf --check`)",
     )
     p_trace.add_argument(
         "--backend",

@@ -44,7 +44,6 @@ from .perf import (
     compare_trajectories,
     compare_trajectory,
     load_trajectory,
-    record_traced_run,
 )
 from .live import (
     HeartbeatMonitor,
@@ -111,7 +110,6 @@ __all__ = [
     "load_trajectory",
     "compare_trajectory",
     "compare_trajectories",
-    "record_traced_run",
     "TelemetryBus",
     "LiveEvent",
     "HeartbeatMonitor",

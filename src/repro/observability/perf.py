@@ -1,6 +1,6 @@
 """Performance-regression tracking over ``BENCH_*.json`` trajectories.
 
-The benchmarks (and any traced run) append one *record* per invocation
+The benchmarks append one *record* per invocation
 to a JSON trajectory file at the repo root::
 
     [
@@ -62,7 +62,6 @@ class GatedMetric:
 GATES: dict[str, GatedMetric] = {
     "batched_updates": GatedMetric("speedup", True, ("grid", "tile_size")),
     "backend_kernels": GatedMetric("speedup", True, ("backend", "kernel", "tile_size")),
-    "traced_run": GatedMetric("makespan_seconds", False, ("runtime", "n", "tile_size")),
     "elimination_trees": GatedMetric("speedup", True, ("tree", "grid_rows", "grid_cols", "tile_size")),
     # The overhead *fraction* is too close to zero for a relative-delta
     # gate to be stable, so the gated metric is the boolean outcome of
@@ -280,30 +279,3 @@ def compare_trajectories(
         report.rows.extend(one.rows)
         report.skipped.extend(one.skipped)
     return report
-
-
-def traced_run_case(runtime: str, n: int, tile_size: int, trace) -> dict:
-    """A ``traced_run`` trajectory case from an
-    :class:`~repro.sim.trace.ExecutionTrace`."""
-    return {
-        "runtime": runtime,
-        "n": n,
-        "tile_size": tile_size,
-        "makespan_seconds": trace.makespan,
-        "compute_busy_seconds": sum(trace.compute_busy().values()),
-        "num_tasks": len(trace.tasks),
-    }
-
-
-def record_traced_run(
-    path: str | Path,
-    runtime: str,
-    n: int,
-    tile_size: int,
-    trace,
-    extra: dict | None = None,
-) -> Path:
-    """Append one traced factorization to a ``traced_run`` trajectory."""
-    return append_record(
-        path, "traced_run", [traced_run_case(runtime, n, tile_size, trace)], extra
-    )

@@ -1,24 +1,23 @@
-"""In-process runtimes that execute the tiled-QR DAG numerically.
-
-Two executors share one task-application core:
+"""Runtimes that execute the tiled-QR factorization numerically.
 
 * :class:`SerialRuntime` — deterministic, single-threaded; the reference
   implementation used by tests and examples.
-* :class:`ThreadedRuntime` — a worker pool with dependency-counting
-  dispatch; exercises the same concurrency structure a real
+* :class:`ThreadedRuntime` — the same task-graph loop with a worker-pool
+  dispatch policy; exercises the concurrency structure a real
   PLASMA/StarPU-style runtime uses (NumPy's BLAS releases the GIL).
 * :class:`MultiprocessRuntime` — distributed-memory execution with one
   OS process per device and explicit pipe transfers (the paper's
   Fig. 7 structure made literal).
 
-All three accept resilience controls (retry policy, chaos engine,
-health checks, periodic checkpoints — see :mod:`repro.resilience` and
-``docs/RELIABILITY.md``); :func:`resume_factorization` finishes an
-interrupted checkpointed run.
+All three take their settings as one frozen :class:`RunOptions`
+(elimination tree, tracer, bus, batching, backend, and the resilience
+controls — retry policy, chaos, health checks, periodic checkpoints,
+failure bundles; see :mod:`repro.resilience` and ``docs/RELIABILITY.md``);
+:func:`resume_factorization` finishes an interrupted checkpointed run.
 """
 
 from .factorization import TiledQRFactorization
-from .serial import SerialRuntime, tiled_qr
+from .serial import RunOptions, SerialRuntime, tiled_qr
 from .threaded import ThreadedRuntime
 from .multiprocess import MultiprocessRuntime
 from .trisolve import tiled_back_substitution, solve_factorized_tiled
@@ -34,6 +33,7 @@ from .checkpoint import (
 
 __all__ = [
     "TiledQRFactorization",
+    "RunOptions",
     "SerialRuntime",
     "ThreadedRuntime",
     "MultiprocessRuntime",

@@ -122,7 +122,7 @@ def task_written_tiles(task: Task, a: TiledMatrix):
     return [a.tile(i, j) for key, i, j in writes if key == "t"]
 
 
-def _factor_key(task: Task) -> tuple | None:
+def factor_key(task: Task) -> tuple | None:
     """The factor-store key a factorization task inserts (None for updates)."""
     if task.kind is TaskKind.GEQRT:
         return ("Vg", task.row, task.k)
@@ -177,7 +177,7 @@ def apply_task_resilient(
     from ..resilience.health import check_task_outputs, panel_residual_probe
 
     written = task_written_tiles(task, a)
-    fkey = _factor_key(task)
+    fkey = factor_key(task)
     last_exc: BaseException | None = None
     for attempt in range(1, policy.max_attempts + 1):
         if attempt > 1:

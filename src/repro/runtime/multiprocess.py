@@ -57,32 +57,23 @@ resume on any runtime.
 from __future__ import annotations
 
 import multiprocessing as mp
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from ..core.plan import DistributionPlan
-from ..errors import ShapeError, SimulationError, WorkerFailoverError
+from ..errors import SimulationError, WorkerFailoverError
 from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace
-from ..tiles import TiledMatrix
 from .factorization import TiledQRFactorization
 from ..dag.tasks import Task, TaskKind
-from ..dag.trees import canonical_tree, resolve_tree
+from ..dag.trees import resolve_tree
+from .serial import Runtime, _CheckpointWriter, check_resume_state, coerce_input
 
 
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_TIMER = _NullTimer()
+_NULL_TIMER = nullcontext()
 
 
 class _EventTimer:
@@ -221,6 +212,12 @@ def _contiguous_runs(cols: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
+#: Factor-payload tag -> the (per-tile) kernel that applies it.
+_UPDATE_KERNEL = {"G": "unmqr", "TS": "tsmqr", "TT": "ttmqr"}
+
+#: Factor-payload tag -> the factorization task that produced it.
+_FACTOR_TASK = {"G": TaskKind.GEQRT, "TS": TaskKind.TSQRT, "TT": TaskKind.TTQRT}
+
 #: Task kinds whose first written tile is an R tile — the targets of the
 #: per-panel residual probe in health-checked runs.
 _FACTOR_KINDS = (TaskKind.GEQRT, TaskKind.TSQRT, TaskKind.TTQRT)
@@ -234,11 +231,15 @@ def _worker_main(
     batch_updates: bool = False,
     device_id: str = "worker",
     fault_plan=None,
-    retry_policy=None,
+    policy=None,
     health: bool = False,
     backend_name: str = "reference",
 ) -> None:
-    """Worker process body: owns columns, executes kernels on demand."""
+    """Worker process body: owns columns, executes kernels on demand.
+
+    ``policy`` is the manager's effective retry policy (``None`` runs
+    kernels bare).
+    """
     columns: dict[int, list[np.ndarray]] = {}
     events: list[tuple] = []
     workspace = Workspace()
@@ -251,11 +252,6 @@ def _worker_main(
         from ..resilience import ChaosEngine
 
         chaos = ChaosEngine(fault_plan, device=device_id)
-    policy = retry_policy
-    if policy is None and (chaos is not None or health):
-        from ..resilience import DEFAULT_RETRY_POLICY
-
-        policy = DEFAULT_RETRY_POLICY
 
     def reply(status: str, payload) -> None:
         stats["workspace_fallbacks"] += workspace.fallbacks
@@ -433,9 +429,6 @@ def _worker_main(
                 reply("ok", (out, [t.copy() for t in col]))
             elif isinstance(msg, Update):
                 k = msg.k
-                from ..kernels.geqrt import GEQRTResult
-                from ..kernels.tsqrt import TSQRTResult
-
                 if msg.cols is None:
                     targets = sorted(j for j in columns if j > k)
                 else:
@@ -446,99 +439,31 @@ def _worker_main(
                 if targets:
                     order = {j: n for n, j in enumerate(targets)}
                     runs.sort(key=lambda r: min(order[j] for j in range(r[0], r[1])))
-                for key, v, tf, taus in msg.factors:
-                    kind, kk, row, top = key
-                    if kind == "G":
-                        f = GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)
-                        if batch_updates:
-                            # One wide panel per contiguous run of owned
-                            # columns: fewer, larger GEMMs (see
-                            # docs/PERFORMANCE.md).
-                            for j0, j1 in runs:
+                # Batched: one wide panel per contiguous run of owned
+                # columns — fewer, larger GEMMs (see docs/PERFORMANCE.md).
+                spans = runs if batch_updates else [(j, j + 1) for j in targets]
+                for (kind, kk, row, top), v, tf, taus in msg.factors:
+                    f = _factor_result(kind, v, tf, taus)
+                    name = _UPDATE_KERNEL[kind] + ("_batch" if batch_updates else "")
+                    fn, tkind = getattr(kern, name), TaskKind[name.upper()]
+                    rows = (row,) if kind == "G" else (top, row)
+                    for j0, j1 in spans:
+                        end = j1 if batch_updates else -1
 
-                                def do_batch(j0=j0, j1=j1, f=f, kk=kk, row=row):
-                                    panel = gather(j0, j1, row)
-                                    with timed("UNMQR_BATCH", kk, row, row, j0, j1):
-                                        kern.unmqr_batch(f, panel, workspace=workspace)
-                                    scatter(j0, j1, row, panel)
+                        def do_update(j0=j0, j1=j1, end=end, f=f, fn=fn, kk=kk,
+                                      row=row, top=top, rows=rows, label=tkind.name):
+                            panels = [gather(j0, j1, r) for r in rows]
+                            with timed(label, kk, row, top, j0, end):
+                                fn(f, *panels, workspace=workspace)
+                            for r, panel in zip(rows, panels):
+                                scatter(j0, j1, r, panel)
 
-                                task = Task(TaskKind.UNMQR_BATCH, kk, row, row, j0, j1)
-                                run_kernel(
-                                    task,
-                                    [
-                                        (lambda j=j, row=row: columns[j][row])
-                                        for j in range(j0, j1)
-                                    ],
-                                    do_batch,
-                                )
-                        else:
-                            for col_idx in targets:
-
-                                def do_unmqr(col_idx=col_idx, f=f, kk=kk, row=row):
-                                    with timed("UNMQR", kk, row, row, col_idx):
-                                        kern.unmqr(f, columns[col_idx][row], workspace=workspace)
-
-                                task = Task(TaskKind.UNMQR, kk, row, row, col_idx)
-                                run_kernel(
-                                    task,
-                                    [lambda j=col_idx, row=row: columns[j][row]],
-                                    do_unmqr,
-                                )
-                    else:
-                        tt = kind == "TT"
-                        f = TSQRTResult(
-                            r=np.empty((v.shape[1], v.shape[1])),
-                            v2=v, tf=tf, taus=taus,
-                            kind="TT" if tt else "TS",
-                        )
-                        pair_batch = kern.ttmqr_batch if tt else kern.tsmqr_batch
-                        pair_tile = kern.ttmqr if tt else kern.tsmqr
-                        batch_kind = (
-                            TaskKind.TTMQR_BATCH if tt else TaskKind.TSMQR_BATCH
-                        )
-                        tile_kind = TaskKind.TTMQR if tt else TaskKind.TSMQR
-                        if batch_updates:
-                            for j0, j1 in runs:
-
-                                def do_batch(
-                                    j0=j0, j1=j1, f=f, kk=kk, row=row, top=top,
-                                    fn=pair_batch, label=batch_kind.name,
-                                ):
-                                    tpan = gather(j0, j1, top)
-                                    bpan = gather(j0, j1, row)
-                                    with timed(label, kk, row, top, j0, j1):
-                                        fn(f, tpan, bpan, workspace=workspace)
-                                    scatter(j0, j1, top, tpan)
-                                    scatter(j0, j1, row, bpan)
-
-                                task = Task(batch_kind, kk, row, top, j0, j1)
-                                refs = [
-                                    (lambda j=j, r=r: columns[j][r])
-                                    for j in range(j0, j1)
-                                    for r in (top, row)
-                                ]
-                                run_kernel(task, refs, do_batch)
-                        else:
-                            for col_idx in targets:
-
-                                def do_pair(
-                                    col_idx=col_idx, f=f, kk=kk, row=row, top=top,
-                                    fn=pair_tile, label=tile_kind.name,
-                                ):
-                                    with timed(label, kk, row, top, col_idx):
-                                        fn(
-                                            f,
-                                            columns[col_idx][top],
-                                            columns[col_idx][row],
-                                            workspace=workspace,
-                                        )
-
-                                task = Task(tile_kind, kk, row, top, col_idx)
-                                refs = [
-                                    lambda j=col_idx, r=top: columns[j][r],
-                                    lambda j=col_idx, r=row: columns[j][r],
-                                ]
-                                run_kernel(task, refs, do_pair)
+                        refs = [
+                            (lambda j=j, r=r: columns[j][r])
+                            for j in range(j0, j1)
+                            for r in rows
+                        ]
+                        run_kernel(Task(tkind, kk, row, top, j0, end), refs, do_update)
                 reply("ok", None)
             elif isinstance(msg, Collect):
                 reply("ok", columns)
@@ -556,68 +481,37 @@ def _worker_main(
             pass
 
 
-class MultiprocessRuntime:
+class MultiprocessRuntime(Runtime):
     """Execute tiled QR across worker processes per a distribution plan.
 
-    Parameters
-    ----------
-    plan:
-        Column/panel ownership (one worker is spawned per participant).
-    elimination:
-        Elimination-tree name or alias (see :mod:`repro.dag.trees`);
-        the manager computes each panel's op list from the tree and
-        ships it to the panel owner, so every registered tree runs
-        distributed.  Checkpoints record the canonical tree name and
-        resume only on a runtime configured with the same tree.
-    tracer:
-        Optional :class:`repro.observability.Tracer`.  Workers buffer
-        per-kernel events locally (zero IPC on the hot path) and the
-        manager merges the buffers at join, under each worker's device
-        id; column migrations and factor broadcasts are recorded as
-        transfers with their real pickled byte counts.
-    retry_policy:
-        Optional :class:`~repro.resilience.RetryPolicy`.  Enables the
-        fault-tolerant path: workers retry kernels per the policy, and
-        the manager classifies pipe EOF / persistent failure / missed
-        reply deadlines as device death and fails over (see module
-        docstring).  ``policy.deadline`` is the per-kernel budget; the
-        manager scales it by the kernel count of each message to get
-        the reply deadline.
-    chaos_plan:
-        Optional :class:`~repro.resilience.FaultPlan` shipped to every
-        worker (specs select workers via their ``device`` field).
-        Implies the fault-tolerant path.
-    health_checks:
-        NaN/Inf-check kernel outputs worker-side (retryable failures).
-    metrics:
-        Optional :class:`~repro.observability.MetricsRegistry`; receives
-        the ``resilience.*`` counters (worker-side increments are
-        piggybacked on replies and folded in here).
-    checkpoint_every / checkpoint_path:
-        Write a panel-aligned format-2 snapshot every
-        ``checkpoint_every`` *panels* (see module docstring).
-    backend:
-        Kernel backend *name* (or backend object carrying a registered
-        name).  Workers resolve the name in their own process — the
-        backend must therefore be registered at import time in every
-        interpreter, which all shipped backends are.  The manager's
-        failover replay uses the same backend, so reconstructed columns
-        match the lost ones bit for bit when the backend is
-        deterministic.
-    bus:
-        Optional :class:`repro.observability.TelemetryBus`.  Worker
-        kernel events ride each reply and are published (ClockSync-
-        rebased) as ``task.finish`` the moment the reply folds; every
-        reply also publishes a per-device ``heartbeat``, and with a
-        ``heartbeat_interval`` on the bus the manager slices its reply-
-        deadline poll so a silent worker raises ``heartbeat.missed``
-        events *before* the deadline failover fires.  Failovers,
-        checkpoints, and run start/finish publish too.
-    bundle_out:
-        Optional failure-bundle path, identical to
-        :class:`~repro.runtime.serial.SerialRuntime`'s; the bundle
-        additionally embeds the distribution plan and its decision
-        audit.
+    ``plan`` fixes column/panel ownership (one worker is spawned per
+    participant); the keyword ``options`` are the
+    :class:`~repro.runtime.serial.RunOptions` fields, which behave here
+    as follows:
+
+    * ``elimination`` — the manager computes each panel's op list from
+      the tree and ships it to the panel owner, so every registered tree
+      runs distributed;
+    * ``tracer`` / ``bus`` — workers buffer per-kernel events locally and
+      piggyback them on every reply; the manager merges them
+      (ClockSync-rebased) under each worker's device id, records column
+      migrations and factor broadcasts as transfers with their real
+      pickled byte counts, and publishes a per-device ``heartbeat`` per
+      reply.  With a bus ``heartbeat_interval`` the reply-deadline poll
+      is sliced so a silent worker raises ``heartbeat.missed`` before
+      the deadline failover fires;
+    * ``retry_policy`` / ``chaos`` / ``health_checks`` — any of them
+      enables the fault-tolerant path: workers retry kernels, and the
+      manager classifies pipe EOF / persistent failure / missed reply
+      deadlines as device death and fails over (see module docstring).
+      ``policy.deadline`` is the per-kernel budget, scaled by each
+      message's kernel count.  ``chaos`` ships its fault plan to every
+      worker (specs select workers via their ``device`` field);
+    * ``checkpoint_every`` counts *panels* (panel-aligned snapshots);
+    * ``backend`` travels by name and is resolved in every worker, so it
+      must be registered at import time; the failover replay uses it
+      too;
+    * ``bundle_out`` bundles additionally embed the plan and its audit.
 
     Notes
     -----
@@ -626,87 +520,25 @@ class MultiprocessRuntime:
     remaining columns, migrate column ``k+1`` to the next panel owner.
     """
 
-    def __init__(
-        self,
-        plan: DistributionPlan,
-        tracer=None,
-        batch_updates: bool = False,
-        elimination: str = "TS",
-        retry_policy=None,
-        chaos_plan=None,
-        health_checks: bool = False,
-        metrics=None,
-        checkpoint_every: int | None = None,
-        checkpoint_path=None,
-        backend=None,
-        bus=None,
-        bundle_out=None,
-    ):
+    name = "multiprocess"
+
+    def __init__(self, plan: DistributionPlan, **options):
+        super().__init__(**options)
         self.plan = plan
-        self.tracer = tracer
-        self.batch_updates = batch_updates
-        self.elimination = canonical_tree(elimination)
-        self.retry_policy = retry_policy
-        self.chaos_plan = chaos_plan
-        self.health_checks = health_checks
-        self.metrics = metrics
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        self.backend = resolve_backend(backend)
-        self.bus = bus
-        self.bundle_out = bundle_out
 
-    @property
-    def resilient(self) -> bool:
-        return (
-            self.retry_policy is not None
-            or self.chaos_plan is not None
-            or self.health_checks
-        )
+    def _describe(self) -> dict:
+        return {"devices": list(self.plan.participants)}
 
-    def factorize(
-        self, a: np.ndarray, tile_size: int | None = None, resume=None
-    ) -> TiledQRFactorization:
-        if self.bundle_out is None:
-            return self._factorize(a, tile_size, resume)
-        from .serial import run_with_bundle_capture
-
-        meta = {
-            "runtime": "multiprocess",
-            "elimination": self.elimination,
-            "batch_updates": self.batch_updates,
-            "backend": self.backend.name,
-            "participants": list(self.plan.participants),
-        }
-        if self.retry_policy is not None:
-            meta["retry_policy"] = self.retry_policy.to_dict()
-        return run_with_bundle_capture(
-            self,
-            lambda: self._factorize(a, tile_size, resume),
-            fault_plan=self.chaos_plan,
-            plan=self.plan,
-            meta=meta,
-        )
-
-    def _factorize(
-        self, a: np.ndarray, tile_size: int | None = None, resume=None
-    ) -> TiledQRFactorization:
+    def _factorize(self, a, tile_size: int, resume, opts) -> TiledQRFactorization:
         if resume is not None:
             tiled, k0, log0 = self._resume_state(resume)
             arr_shape = resume.shape
         else:
-            arr = np.asarray(a, dtype=np.float64)
-            if arr.ndim != 2:
-                raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-            if arr.shape[0] < arr.shape[1]:
-                raise ShapeError(f"QR requires m >= n, got shape {arr.shape}")
-            b0 = tile_size if tile_size is not None else self.plan.tile_size
-            tiled = TiledMatrix.from_dense(arr, b0)
-            arr_shape = arr.shape
+            tiled, arr_shape = coerce_input(a, tile_size)
             k0, log0 = 0, []
         b = tiled.tile_size
         p, q = tiled.grid_rows, tiled.grid_cols
-        tree = resolve_tree(self.elimination)
+        tree = resolve_tree(opts.elimination)
 
         # Critical-path column priorities (see docs/PERFORMANCE.md):
         # rank each trailing column of each panel by the highest
@@ -728,15 +560,16 @@ class MultiprocessRuntime:
             ops += [(merge, bot, top) for bot, top in tree.pairs(k, p)]
             return ops
 
-        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
-        metrics = self.metrics
-        bus = self.bus
-        policy = self.retry_policy
-        if policy is None and self.resilient:
-            from ..resilience import DEFAULT_RETRY_POLICY
-
-            policy = DEFAULT_RETRY_POLICY
-        resilient = self.resilient
+        tracer = opts.active_tracer
+        metrics = opts.metrics
+        bus = opts.bus
+        backend = opts.backend
+        policy = opts.policy
+        resilient = policy is not None
+        ckpt = _CheckpointWriter(
+            opts.checkpoint_every, opts.checkpoint_path, ref_dag, tiled, arr_shape,
+            metrics, tracer, bus,
+        )
 
         # fork keeps worker startup cheap and the perf_counter clock
         # shared; elsewhere (Windows, macOS default) fall back to spawn
@@ -753,9 +586,8 @@ class MultiprocessRuntime:
                 target=_worker_main,
                 args=(
                     child, p, q, tracer is not None or bus is not None,
-                    self.batch_updates,
-                    dev, self.chaos_plan, self.retry_policy, self.health_checks,
-                    self.backend.name,
+                    opts.batch_updates,
+                    dev, opts.fault_plan, policy, opts.health_checks, backend.name,
                 ),
                 daemon=True,
             )
@@ -901,23 +733,14 @@ class MultiprocessRuntime:
             bit-identical to the lost one (see docs/RELIABILITY.md for
             the batched-update caveat).
             """
-            from ..kernels.geqrt import GEQRTResult
-            from ..kernels.tsqrt import TSQRTResult
-
             col = [t.copy() for t in base[j]]
             for kk in range(base_level[j] + 1, applied[j] + 1):
-                for key, v, tf, taus in panel_factors[kk]:
-                    kind, kp, row, top = key
+                for (kind, _kp, row, top), v, tf, taus in panel_factors[kk]:
+                    f = _factor_result(kind, v, tf, taus)
                     if kind == "G":
-                        f = GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)
-                        self.backend.unmqr(f, col[row])
+                        backend.unmqr(f, col[row])
                     else:
-                        tt = kind == "TT"
-                        f = TSQRTResult(
-                            r=np.empty((v.shape[1], v.shape[1])),
-                            v2=v, tf=tf, taus=taus, kind="TT" if tt else "TS",
-                        )
-                        fn = self.backend.ttmqr if tt else self.backend.tsmqr
+                        fn = backend.ttmqr if kind == "TT" else backend.tsmqr
                         fn(f, col[top], col[row])
             return col
 
@@ -1053,7 +876,9 @@ class MultiprocessRuntime:
                 panel_factors[k] = factors
                 shadow_r[k] = r_col
                 panel_done[k] = True
-                log.extend(_deserialize_log(factors, b))
+                for (kind, kk, row, top), *arrays in factors:
+                    task = Task(_FACTOR_TASK[kind], kk, row, top, kk)
+                    log.append((task, _factor_result(kind, *arrays)))
             factors = panel_factors[k]
             bcast_bytes = float(sum(x.nbytes for f in factors for x in f[1:]))
 
@@ -1085,69 +910,41 @@ class MultiprocessRuntime:
                     applied[j] = k
             applied[k] = n_panels  # finished R column; never a replay target
 
-        def write_checkpoint(k: int) -> None:
-            """Panel-aligned format-2 snapshot after panel ``k``."""
-            from ..dag import build_dag
-            from .checkpoint import save_partial_factorization
+        def gather(k: int, when: str, final: bool = False) -> None:
+            """Pull every live column into ``tiled`` after panel ``k``.
 
-            # Gather live columns; fall back to manager-side recovery for
-            # any device that dies mid-gather (its columns are rebuilt at
-            # their last applied watermark, which a panel boundary makes
-            # exact; the stranded columns re-home at the next panel).
-            cols_by_j: dict[int, list[np.ndarray]] = {}
-            for dev in alive():
+            A device that dies mid-gather has its columns rebuilt
+            manager-side at their last applied watermark, which a panel
+            boundary makes exact (mid-run, the stranded columns re-home
+            at the next panel).  The ``final`` gather also sweeps
+            residual worker events and shuts the workers down.
+            """
+            gathered: set[int] = set()
+            for dev in list(alive()):
                 try:
-                    owned = ask(dev, Collect())
+                    for j, tiles in ask(dev, Collect()).items():
+                        for i in range(p):
+                            tiled.set_tile(i, j, tiles[i])
+                        gathered.add(j)
+                    if final:
+                        if tracer is not None or bus is not None:
+                            # Normally empty: events ride each reply's
+                            # stats delta and are folded there; this
+                            # sweeps any recorded after the last reply.
+                            fold_events(dev, ask(dev, CollectEvents()))
+                        ask(dev, Shutdown())
                 except _WorkerDied as exc:
-                    note_death(exc.device, k, f"died during checkpoint: {exc.reason}")
-                    continue
-                cols_by_j.update(owned)
+                    note_death(exc.device, k, f"died {when}: {exc.reason}")
             for j in range(q):
-                if j not in cols_by_j:
-                    cols_by_j[j] = recover_column(j)
-            for j, tiles in cols_by_j.items():
-                for i in range(p):
-                    tiled.set_tile(i, j, tiles[i])
-            dag = build_dag(p, q, self.elimination, batch_updates=False)
-            completed = [t for t in dag.tasks if t.k <= k]
-            save_partial_factorization(
-                self.checkpoint_path, tiled, completed, log, arr_shape,
-                elimination=self.elimination, batch_updates=False,
-            )
-            if metrics is not None:
-                metrics.counter("resilience.checkpoints").inc()
-            if tracer is not None:
-                tracer.record_annotation(
-                    "checkpoint",
-                    f"panel {k + 1}/{n_panels} -> {self.checkpoint_path}",
-                    "manager",
-                )
-            if bus is not None:
-                bus.publish(
-                    "checkpoint",
-                    "manager",
-                    {
-                        "panel": k + 1,
-                        "panels": n_panels,
-                        "path": str(self.checkpoint_path),
-                    },
-                )
+                if j not in gathered:
+                    if not resilient:
+                        raise SimulationError(f"column {j} lost at gather")
+                    tiles = recover_column(j)
+                    for i in range(p):
+                        tiled.set_tile(i, j, tiles[i])
 
         try:
-            if bus is not None:
-                bus.publish(
-                    "run.start",
-                    "manager",
-                    {
-                        "runtime": "multiprocess",
-                        "total_tasks": len(ref_dag.tasks),
-                        "total_units": sum(t.ncols for t in ref_dag.tasks),
-                        "grid": [p, q],
-                        "tile_size": b,
-                        "devices": list(self.plan.participants),
-                        "panels": n_panels - k0,
-                    },
-                )
+            self._run_started(bus, ref_dag, tiled, panels=n_panels - k0)
             for dev in self.plan.participants:
                 spawn(dev)
 
@@ -1182,7 +979,6 @@ class MultiprocessRuntime:
                 ask(dev, LoadColumns(columns=cols))
 
             # --- panel loop (paper Sec. IV-D) ----------------------------
-            since_ckpt = 0
             for k in range(k0, n_panels):
                 if resilient:
                     # Panel-as-transaction: any device death rolls the
@@ -1198,40 +994,14 @@ class MultiprocessRuntime:
                             note_death(exc.device, k, exc.reason)
                 else:
                     run_panel(k)
-                since_ckpt += 1
-                if (
-                    self.checkpoint_every is not None
-                    and self.checkpoint_path is not None
-                    and since_ckpt >= self.checkpoint_every
-                    and k + 1 < n_panels
-                ):
-                    write_checkpoint(k)
-                    since_ckpt = 0
+                if ckpt.task_done() and k + 1 < n_panels:
+                    # Panel-aligned snapshot: exactly the finished panels.
+                    gather(k, "during checkpoint")
+                    done = [t for t in ref_dag.tasks if t.k <= k]
+                    ckpt.write(done, log, device="manager")
 
             # --- gather the R factor (and any residual worker events) ----
-            gathered: set[int] = set()
-            for dev in list(alive()):
-                try:
-                    cols = ask(dev, Collect())
-                    for j, tiles in cols.items():
-                        for i in range(p):
-                            tiled.set_tile(i, j, tiles[i])
-                        gathered.add(j)
-                    if tracer is not None or bus is not None:
-                        # Normally empty: events ride each reply's stats
-                        # delta and are folded there; this sweeps any
-                        # recorded after the last reply was built.
-                        fold_events(dev, ask(dev, CollectEvents()))
-                    ask(dev, Shutdown())
-                except _WorkerDied as exc:
-                    note_death(exc.device, n_panels, f"died at gather: {exc.reason}")
-            for j in range(q):  # columns lost between last panel and gather
-                if j not in gathered:
-                    if not resilient:
-                        raise SimulationError(f"column {j} lost at gather")
-                    tiles = recover_column(j)
-                    for i in range(p):
-                        tiled.set_tile(i, j, tiles[i])
+            gather(n_panels, "at gather", final=True)
         finally:
             for parent, proc in workers.values():
                 try:
@@ -1242,13 +1012,7 @@ class MultiprocessRuntime:
                 if proc.is_alive():  # pragma: no cover - hygiene
                     proc.terminate()
 
-        if bus is not None:
-            bus.publish(
-                "run.finish",
-                "manager",
-                {"panels": n_panels - k0, "deaths": len(dead)},
-            )
-            bus.drain()  # subscribers have seen everything when we return
+        self._run_finished(bus, panels=n_panels - k0, deaths=len(dead))
         return TiledQRFactorization(r=tiled, log=log, shape=arr_shape)
 
     def _resume_state(self, resume):
@@ -1256,19 +1020,12 @@ class MultiprocessRuntime:
         from ..dag import build_dag
         from .checkpoint import CheckpointError
 
-        snap_tree = canonical_tree(resume.elimination)
-        if snap_tree != self.elimination or resume.batch_updates:
-            raise CheckpointError(
-                "multiprocess resume requires a per-tile snapshot of this "
-                f"runtime's elimination tree (snapshot tree={snap_tree!r}, "
-                f"runtime tree={self.elimination!r}, "
-                f"batch_updates={resume.batch_updates})"
-            )
+        # Workers run the per-tile DAG, so only per-tile snapshots fit.
+        elimination = self.options.elimination
         tiled = resume.tiled
         p, q = tiled.grid_rows, tiled.grid_cols
-        dag = build_dag(p, q, self.elimination, batch_updates=False)
-        completed = set(resume.completed)
-        dag.validate_completed(completed)
+        dag = build_dag(p, q, elimination, batch_updates=False)
+        completed = check_resume_state(resume, dag, tiled, elimination, False)
         done_panels = 0
         for k in range(min(p, q)):
             panel = dag.panel_tasks(k)
@@ -1293,27 +1050,14 @@ class MultiprocessRuntime:
         return tiled, done_panels, list(resume.log)
 
 
-def _deserialize_log(factors, b: int):
-    """Rebuild kernel-result objects from a worker's factor payload."""
+def _factor_result(kind: str, v, tf, taus):
+    """Rebuild a kernel result from one ``(v, tf, taus)`` factor payload;
+    ``kind`` is the payload's ``"G"``/``"TS"``/``"TT"`` tag and ``r`` is a
+    placeholder (the R tile stays with the column)."""
     from ..kernels.geqrt import GEQRTResult
     from ..kernels.tsqrt import TSQRTResult
 
-    out = []
-    for key, v, tf, taus in factors:
-        kind, k, row, top = key
-        if kind == "G":
-            task = Task(TaskKind.GEQRT, k, row, row, k)
-            out.append((task, GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)))
-        else:
-            tt = kind == "TT"
-            task = Task(TaskKind.TTQRT if tt else TaskKind.TSQRT, k, row, top, k)
-            out.append(
-                (
-                    task,
-                    TSQRTResult(
-                        r=np.empty((b, b)), v2=v, tf=tf, taus=taus,
-                        kind="TT" if tt else "TS",
-                    ),
-                )
-            )
-    return out
+    if kind == "G":
+        return GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)
+    b = v.shape[1]
+    return TSQRTResult(r=np.empty((b, b)), v2=v, tf=tf, taus=taus, kind=kind)

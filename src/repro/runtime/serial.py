@@ -1,40 +1,46 @@
-"""Deterministic single-threaded execution of the tiled-QR DAG.
+"""The task-graph executor shared by the in-process runtimes.
 
-Tasks run one at a time in *critical-path priority order*: ready tasks
-are popped highest bottom-level rank first (see
+One loop runs the tiled-QR DAG for :class:`SerialRuntime` and
+:class:`~repro.runtime.threaded.ThreadedRuntime` alike.
+:class:`TaskGraphRun` coerces the input, builds the DAG, seeds a resumed
+run's factor store, keeps the rank-ordered ready heap and the completion
+accounting, and writes the periodic checkpoints; :class:`TaskGraphRuntime`
+publishes ``run.start``/``run.finish`` around it.  The two runtimes
+differ only in *dispatch policy* — how ready tasks reach
+:meth:`TaskGraphRun.execute`: the serial runtime runs each one inline on
+the caller's thread, the threaded runtime hands them to a worker pool.
+
+Ready tasks pop highest bottom-level rank first (see
 :func:`repro.dag.analysis.bottom_level_ranks`), with the DAG emission
 order as the deterministic tie-break.  Any topological order produces a
 bit-identical R (unordered tasks touch disjoint tile rows), so the
-priority order changes nothing numerically — but it makes the serial
-runtime execute the same schedule shape the parallel runtimes and the
-simulator prefer, and it keeps mid-run checkpoints frontier-shaped the
-way a parallel resume expects.
+priority order changes nothing numerically — but every runtime executes
+the schedule shape the simulator prefers, and mid-run checkpoints stay
+frontier-shaped the way a parallel resume expects.
+
+Every runtime — :class:`~repro.runtime.multiprocess.MultiprocessRuntime`
+included — takes its settings as one frozen :class:`RunOptions` and
+inherits the failure-bundle ``factorize`` wrapper from :class:`Runtime`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
+from typing import Any
 
 import numpy as np
 
 from ..config import DEFAULT_TILE_SIZE
 from ..dag import build_dag
 from ..dag.analysis import bottom_level_ranks, task_weight_model
-from ..dag.tasks import Task
 from ..dag.trees import canonical_tree
-from ..errors import ShapeError, SimulationError
+from ..errors import ConfigError, ShapeError, SimulationError
 from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace, drain_fallbacks
 from ..tiles import TiledMatrix
-from .core_exec import Factors, apply_task, apply_task_resilient
+from .core_exec import Factors, apply_task, apply_task_resilient, factor_key
 from .factorization import TiledQRFactorization
-
-
-def health_ref_norm(tiled) -> float:
-    """Pre-factorization Frobenius norm for the panel residual probes."""
-    from ..resilience.health import tiled_frobenius_norm
-
-    return tiled_frobenius_norm(tiled)
 
 
 def resolve_policy(retry_policy, chaos, health_checks):
@@ -54,53 +60,120 @@ def resolve_policy(retry_policy, chaos, health_checks):
     return None
 
 
-def run_with_bundle_capture(runtime, call, *, fault_plan=None, plan=None, meta=None):
-    """Arm failure-bundle capture around one ``_factorize`` call.
+@dataclass(frozen=True)
+class RunOptions:
+    """The settings every runtime takes, as keywords of its constructor.
 
-    Shared by the three runtimes when ``bundle_out`` is set: attaches a
-    :class:`~repro.observability.postmortem.FlightRecorder` to the
-    runtime's bus (substituting a private bus when it runs without one,
-    so there are task events to record), runs ``call()``, and writes an
-    atomic failure bundle to ``runtime.bundle_out`` if a terminal error
-    escapes — then restores the bus and re-raises.  A clean run writes
-    nothing.
+    Attributes
+    ----------
+    elimination:
+        Elimination-tree name or alias (see :mod:`repro.dag.trees`):
+        ``"flat"``/``"TS"`` (paper default), ``"flat-tt"``,
+        ``"binary"``/``"TT"``, ``"fibonacci"`` or ``"greedy"``; stored
+        canonical.
+    tracer:
+        Optional :class:`repro.observability.Tracer`; every kernel is
+        recorded as a span under the device that ran it.
+    batch_updates:
+        Run coarsened row-panel update tasks (``UNMQR_BATCH`` /
+        ``TSMQR_BATCH``): one set of wide GEMMs per reflector factor per
+        tile row.  Results match the per-tile path (see
+        ``docs/PERFORMANCE.md``).
+    retry_policy:
+        Optional :class:`repro.resilience.RetryPolicy`; a task that fails
+        retryably is replayed from snapshots of the tiles it writes.
+        ``chaos`` or ``health_checks`` without one get the default policy.
+    chaos:
+        Optional :class:`repro.resilience.FaultPlan` or
+        :class:`~repro.resilience.ChaosEngine`.  The in-process runtimes
+        use an engine as given and build one per run from a plan (on the
+        run's metrics, tracer and bus); the multiprocess runtime ships
+        the plan to every worker.
+    health_checks:
+        NaN/Inf-check every task's written tiles after the kernel;
+        failures raise :class:`~repro.errors.NumericalHealthError` and go
+        through the retry policy.
+    metrics:
+        Optional :class:`repro.observability.MetricsRegistry` receiving
+        the ``resilience.*`` and ``kernel.workspace.fallbacks`` counters.
+    checkpoint_every / checkpoint_path:
+        When both are set, write an atomic partial snapshot (format 2,
+        see :mod:`repro.runtime.checkpoint`) after every
+        ``checkpoint_every`` completed tasks (multiprocess: panels);
+        ``resume_factorization`` finishes such a run.
+    backend:
+        Kernel backend — a registered name, a
+        :class:`~repro.kernels.backends.KernelBackend` object, or
+        ``None`` for ``reference``.  Resolved here, so unknown names fail
+        at construction.  Threaded workers share the object (it must be
+        thread-safe); multiprocess workers resolve it by name.
+    bus:
+        Optional :class:`repro.observability.TelemetryBus`; the run
+        publishes live ``run.start``/``task.start``/``task.finish``/
+        ``retry``/``checkpoint``/``run.finish`` events (see
+        ``docs/OBSERVABILITY.md``, "Live telemetry").  ``None`` publishes
+        nothing and costs nothing.
+    bundle_out:
+        Optional path: when a terminal error escapes ``factorize``, an
+        atomic failure bundle (flight-recorder tail, in-flight tasks,
+        metrics, fault plan, checkpoint pointer) is written there before
+        the exception propagates — see :mod:`repro.observability.postmortem`.
     """
-    from ..observability.postmortem import BundleCapture
 
-    capture = BundleCapture(
-        runtime.bundle_out,
-        bus=runtime.bus,
-        metrics=runtime.metrics,
-        plan=plan,
-        fault_plan=fault_plan,
-        checkpoint_path=runtime.checkpoint_path,
-        meta=meta,
-    )
-    prev = runtime.bus
-    runtime.bus = capture.bus
-    try:
-        return call()
-    except BaseException as exc:
-        capture.capture(exc)
-        raise
-    finally:
-        runtime.bus = prev
-        capture.close()
+    elimination: str = "TS"
+    tracer: Any = None
+    batch_updates: bool = False
+    retry_policy: Any = None
+    chaos: Any = None
+    health_checks: bool = False
+    metrics: Any = None
+    checkpoint_every: int | None = None
+    checkpoint_path: Any = None
+    backend: Any = None
+    bus: Any = None
+    bundle_out: Any = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "elimination", canonical_tree(self.elimination))
+        object.__setattr__(self, "backend", resolve_backend(self.backend))
+
+    @property
+    def policy(self):
+        """The effective retry policy (see :func:`resolve_policy`)."""
+        return resolve_policy(self.retry_policy, self.chaos, self.health_checks)
+
+    @property
+    def active_tracer(self):
+        """``tracer`` when it is enabled, else ``None``."""
+        return self.tracer if self.tracer is not None and self.tracer.enabled else None
+
+    @property
+    def fault_plan(self):
+        """The :class:`~repro.resilience.FaultPlan` behind ``chaos``."""
+        from ..resilience import ChaosEngine
+
+        return self.chaos.plan if isinstance(self.chaos, ChaosEngine) else self.chaos
 
 
-def coerce_input(a, tile_size: int, batch_updates: bool):
-    """Shared dense/tiled input handling: returns ``(tiled, shape)``."""
+def coerce_input(a, tile_size: int, storage: str = "tiles"):
+    """Shared input handling: returns ``(tiled, shape)``.
+
+    A :class:`TiledMatrix` (e.g. a resume snapshot's tiles) passes
+    through unscanned.  A dense input must be a finite, real ``m x n``
+    matrix with ``m >= n``; anything else fails here, before tiling.
+    """
     if isinstance(a, TiledMatrix):
         return a, a.shape
     arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise ConfigError(f"tiled QR takes real input, got dtype {arr.dtype}")
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < arr.shape[1]:
         raise ShapeError(f"QR requires m >= n, got shape {arr.shape}")
-    tiled = TiledMatrix.from_dense(
-        arr, tile_size, storage="rowmajor" if batch_updates else "tiles"
-    )
-    return tiled, arr.shape
+    if not np.isfinite(arr).all():
+        raise ConfigError("input matrix contains NaN or Inf entries")
+    return TiledMatrix.from_dense(arr, tile_size, storage=storage), arr.shape
 
 
 def check_resume_state(resume, dag, tiled, elimination: str, batch_updates: bool):
@@ -208,257 +281,316 @@ class _CheckpointWriter:
             )
 
 
-class SerialRuntime:
-    """Reference executor: one task at a time, highest-rank-ready first.
+class Runtime:
+    """Base of the three runtimes: one :class:`RunOptions` (``options``)
+    and the failure-bundle ``factorize`` wrapper.
 
-    Parameters
-    ----------
-    elimination:
-        Elimination-tree name or alias (see :mod:`repro.dag.trees`):
-        ``"flat"``/``"TS"`` (paper default), ``"flat-tt"``,
-        ``"binary"``/``"TT"``, ``"fibonacci"`` or ``"greedy"``.
-    progress:
-        Optional callback ``(tasks_done, tasks_total, task)`` invoked
-        after every kernel — hook for progress bars or cancellation
-        (raise inside the callback to abort).
-    tracer:
-        Optional :class:`repro.observability.Tracer`; every kernel runs
-        inside a span (device id ``"serial"``), so a traced run emits
-        the same trace schema the simulators produce.
-    batch_updates:
-        Execute coarsened row-panel update tasks (``UNMQR_BATCH`` /
-        ``TSMQR_BATCH``) instead of per-tile updates: one set of wide
-        GEMMs per reflector factor per tile row.  Dense inputs are tiled
-        in row-major storage so the panels are zero-copy views.  Results
-        match the per-tile path (see ``docs/PERFORMANCE.md``).
-    retry_policy:
-        Optional :class:`repro.resilience.RetryPolicy`; tasks that fail
-        retryably are replayed from snapshots of their written tiles
-        (see :func:`~repro.runtime.core_exec.apply_task_resilient`).
-    chaos:
-        Optional :class:`repro.resilience.ChaosEngine` injecting faults
-        per its plan (tests and ``tiledqr chaos``).
-    health_checks:
-        NaN/Inf-check every task's written tiles after the kernel;
-        failures raise :class:`~repro.errors.NumericalHealthError` and
-        go through the retry policy.
-    metrics:
-        Optional :class:`repro.observability.MetricsRegistry` receiving
-        the ``resilience.*`` counters.
-    bus:
-        Optional :class:`repro.observability.TelemetryBus`; the run
-        publishes live ``run.start``/``task.start``/``task.finish``/
-        ``retry``/``checkpoint``/``run.finish`` events while executing
-        (see ``docs/OBSERVABILITY.md``, "Live telemetry").  ``None``
-        (the default) publishes nothing and costs nothing.
-    checkpoint_every / checkpoint_path:
-        When both are set, write an atomic partial snapshot (format 2,
-        see :mod:`repro.runtime.checkpoint`) after every
-        ``checkpoint_every`` completed tasks.  ``resume_factorization``
-        finishes such a run.
-    bundle_out:
-        Optional path: when a terminal error escapes ``factorize``, an
-        atomic failure bundle (flight-recorder tail, in-flight tasks,
-        metrics, fault plan, checkpoint pointer) is written there before
-        the exception propagates — feed it to ``tiledqr postmortem``.
-        See :mod:`repro.observability.postmortem`.
-    backend:
-        Kernel backend executing the tile kernels — a registered name,
-        a :class:`~repro.kernels.backends.KernelBackend` object, or
-        ``None`` for the ``reference`` backend.  Resolved once at
-        construction (unknown names fail fast, not mid-factorization).
+    Subclasses implement ``_factorize(a, tile_size, resume, options)``.
     """
 
-    def __init__(
-        self,
-        elimination: str = "TS",
-        progress=None,
-        tracer=None,
-        batch_updates: bool = False,
-        retry_policy=None,
-        chaos=None,
-        health_checks: bool = False,
-        metrics=None,
-        checkpoint_every: int | None = None,
-        checkpoint_path=None,
-        backend=None,
-        bus=None,
-        bundle_out=None,
-    ):
-        self.elimination = canonical_tree(elimination)
-        self.progress = progress
-        self.tracer = tracer
-        self.batch_updates = batch_updates
-        self.retry_policy = retry_policy
-        self.chaos = chaos
-        self.health_checks = health_checks
-        self.metrics = metrics
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        self.backend = resolve_backend(backend)
-        self.bus = bus
-        self.bundle_out = bundle_out
+    name = "runtime"
+    #: Device id under which ``run.start``/``run.finish`` are published.
+    manager = "manager"
+    #: The distribution plan, for runtimes that follow one.
+    plan = None
+
+    def __init__(self, **options):
+        self.options = RunOptions(**options)
 
     def factorize(
-        self, a, tile_size: int = DEFAULT_TILE_SIZE, resume=None
+        self, a, tile_size: int | None = None, resume=None
     ) -> TiledQRFactorization:
         """Tiled QR factorization of a dense or tiled matrix.
 
         Parameters
         ----------
         a:
-            Dense ``m x n`` array (``m >= n``) or a
+            Dense ``m x n`` array (``m >= n``, finite, real) or a
             :class:`repro.tiles.TiledMatrix` (consumed: tiles mutated).
         tile_size:
-            Tile edge when ``a`` is dense (ignored otherwise).
+            Tile edge when ``a`` is dense (ignored otherwise); defaults
+            to the plan's tile size, or ``DEFAULT_TILE_SIZE`` without a
+            plan.
         resume:
             Optional :class:`~repro.runtime.checkpoint.PartialState`;
             completed tasks are skipped and the reflector log is seeded
             from the snapshot (``a`` should be the snapshot's tiles —
             use :func:`~repro.runtime.checkpoint.resume_factorization`).
 
-        Returns
-        -------
-        TiledQRFactorization
+        With ``bundle_out`` set, the run publishes to a flight recorder's
+        bus (the caller's bus, or a private one) and a terminal error
+        writes a failure bundle before it propagates; the runtime's own
+        options are never modified.
         """
-        if self.bundle_out is None:
-            return self._factorize(a, tile_size, resume)
+        if tile_size is None:
+            tile_size = DEFAULT_TILE_SIZE if self.plan is None else self.plan.tile_size
+        opts = self.options
+        if opts.bundle_out is None:
+            return self._factorize(a, tile_size, resume, opts)
+        from ..observability.postmortem import BundleCapture
+
         meta = {
-            "runtime": "serial",
-            "elimination": self.elimination,
-            "batch_updates": self.batch_updates,
-            "backend": self.backend.name,
+            "runtime": self.name,
+            **self._describe(),
+            "elimination": opts.elimination,
+            "batch_updates": opts.batch_updates,
+            "backend": opts.backend.name,
             "tile_size": tile_size,
         }
-        if self.retry_policy is not None:
-            meta["retry_policy"] = self.retry_policy.to_dict()
-        return run_with_bundle_capture(
-            self,
-            lambda: self._factorize(a, tile_size, resume),
-            fault_plan=self.chaos.plan if self.chaos is not None else None,
+        if opts.retry_policy is not None:
+            meta["retry_policy"] = opts.retry_policy.to_dict()
+        capture = BundleCapture(
+            opts.bundle_out,
+            bus=opts.bus,
+            metrics=opts.metrics,
+            plan=self.plan,
+            fault_plan=opts.fault_plan,
+            checkpoint_path=opts.checkpoint_path,
             meta=meta,
         )
+        try:
+            return self._factorize(a, tile_size, resume, replace(opts, bus=capture.bus))
+        except BaseException as exc:
+            capture.capture(exc)
+            raise
+        finally:
+            capture.close()
 
-    def _factorize(self, a, tile_size: int, resume=None) -> TiledQRFactorization:
-        tiled, shape = coerce_input(a, tile_size, self.batch_updates)
-        dag = build_dag(
-            tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates
-        )
-        factors: dict[tuple, Factors] = {}
-        log: list = []
-        completed: set = set()
-        completed_order: list = []
-        if resume is not None:
-            completed = check_resume_state(
-                resume, dag, tiled, self.elimination, self.batch_updates
-            )
-            completed_order = list(resume.completed)
-            log = list(resume.log)
-            for task, f in log:
-                key = (
-                    ("Vg", task.row, task.k)
-                    if task.kind.name == "GEQRT"
-                    else ("Ve", task.row, task.k)
-                )
-                factors[key] = f
-        total = len(dag.tasks)
-        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
-        b = tiled.tile_size
-        workspace = Workspace()
-        policy = resolve_policy(self.retry_policy, self.chaos, self.health_checks)
-        ref_norm = health_ref_norm(tiled) if self.health_checks else None
-        bus = self.bus
+    def _describe(self) -> dict:
+        """Runtime-specific fields for ``run.start`` and bundle meta."""
+        return {}
+
+    def _run_started(self, bus, dag, tiled, **extra) -> None:
+        """Publish ``run.start`` (nothing without a bus)."""
         if bus is not None:
             bus.publish(
                 "run.start",
-                "serial",
+                self.manager,
                 {
-                    "runtime": "serial",
-                    "total_tasks": total,
+                    "runtime": self.name,
+                    "total_tasks": len(dag.tasks),
                     "total_units": sum(t.ncols for t in dag.tasks),
                     "grid": [tiled.grid_rows, tiled.grid_cols],
-                    "tile_size": b,
-                    "completed": len(completed),
+                    "tile_size": tiled.tile_size,
+                    **self._describe(),
+                    **extra,
                 },
             )
-        ckpt = _CheckpointWriter(
-            self.checkpoint_every, self.checkpoint_path, dag, tiled, shape,
-            self.metrics, tracer, bus,
+
+    def _run_finished(self, bus, **data) -> None:
+        """Publish ``run.finish`` and drain the bus, so subscribers have
+        seen everything when ``factorize`` returns."""
+        if bus is not None:
+            bus.publish("run.finish", self.manager, data)
+            bus.drain()
+
+
+class TaskGraphRun:
+    """One task-graph factorization in flight: the state every dispatch
+    policy shares.
+
+    A policy drives it with :meth:`pop` (highest-rank ready task),
+    :meth:`execute` (one kernel with its span, events and retry
+    envelope), :meth:`complete` (release successors; True when a
+    checkpoint is due) and :meth:`checkpoint`.  Nothing here locks: a
+    concurrent policy serializes :meth:`pop`, :meth:`complete` and
+    :meth:`checkpoint` itself and runs :meth:`execute` unlocked.
+
+    ``split`` optionally maps a ready batched task to column chunks that
+    are queued separately; the batch completes with its last chunk.
+    """
+
+    def __init__(self, a, tile_size: int, resume, opts: RunOptions, split=None):
+        tiled, self.shape = coerce_input(
+            a, tile_size, "rowmajor" if opts.batch_updates else "tiles"
         )
-        done = len(completed)
-        # Critical-path priority dispatch: pop the ready task with the
-        # highest bottom-level rank (emission order breaks ties).
-        ranks = bottom_level_ranks(dag, task_weight_model(b))
-        position = {t: n for n, t in enumerate(dag.tasks)}
-        waiting = {
+        dag = build_dag(
+            tiled.grid_rows, tiled.grid_cols, opts.elimination, opts.batch_updates
+        )
+        self.tiled, self.dag = tiled, dag
+        self.factors: dict[tuple, Factors] = {}
+        self.log: list = []
+        self.completed_order: list = []
+        completed: set = set()
+        if resume is not None:
+            completed = check_resume_state(
+                resume, dag, tiled, opts.elimination, opts.batch_updates
+            )
+            self.completed_order = list(resume.completed)
+            self.log = list(resume.log)
+            for task, f in self.log:
+                self.factors[factor_key(task)] = f
+        self.total = len(dag.tasks)
+        self.done = len(completed)
+        self.workspaces: list[Workspace] = []
+
+        self.backend = opts.backend
+        self.metrics = opts.metrics
+        self.bus = opts.bus
+        self.tracer = opts.active_tracer
+        self.policy = opts.policy
+        self.health = opts.health_checks
+        self.ref_norm = None
+        if opts.health_checks:
+            from ..resilience.health import tiled_frobenius_norm
+
+            self.ref_norm = tiled_frobenius_norm(tiled)
+        self.chaos = opts.chaos
+        if self.chaos is not None:
+            from ..resilience import ChaosEngine
+
+            if not isinstance(self.chaos, ChaosEngine):
+                self.chaos = ChaosEngine(
+                    self.chaos, metrics=opts.metrics, tracer=self.tracer, bus=opts.bus
+                )
+        self.checkpoints = _CheckpointWriter(
+            opts.checkpoint_every, opts.checkpoint_path, dag, tiled, self.shape,
+            opts.metrics, self.tracer, opts.bus,
+        )
+
+        # Ready heap entries are ((-rank, emission position), first column,
+        # task): highest bottom-level rank first, fully deterministic, and
+        # Task objects are never compared (chunks of one batch share the
+        # priority and differ in the column).
+        self._split = split
+        ranks = bottom_level_ranks(dag, task_weight_model(tiled.tile_size))
+        self._priority = {t: (-ranks[t], n) for n, t in enumerate(dag.tasks)}
+        self._heap: list = []
+        self._chunk_parent: dict = {}
+        self._chunks_left: dict = {}
+        self._waiting = {
             t: sum(1 for d in dag.preds[t] if d not in completed)
             for t in dag.tasks
             if t not in completed
         }
-        heap: list[tuple[float, int, Task]] = []
-        for t in dag.tasks:
-            if t not in completed and waiting[t] == 0:
-                heappush(heap, (-ranks[t], position[t], t))
-        while heap:
-            _, _, task = heappop(heap)
-            span = (
-                tracer.task_span(task, device="serial", tile_size=b)
-                if tracer is not None
-                else None
-            )
-            if bus is not None:
-                t0 = bus.clock()
-                bus.task_start(task, "serial", t=t0)
-            if policy is not None:
-                with span if span is not None else _NULL_CTX:
-                    produced = apply_task_resilient(
-                        task, tiled, factors, workspace,
-                        policy=policy, backend=self.backend, chaos=self.chaos,
-                        health=self.health_checks, health_ref_norm=ref_norm,
-                        metrics=self.metrics,
-                        tracer=tracer, device="serial", bus=bus,
-                    )
-            else:
-                with span if span is not None else _NULL_CTX:
-                    produced = apply_task(
-                        task, tiled, factors, workspace, backend=self.backend
-                    )
-            if bus is not None:
-                bus.task_finish(task, "serial", start=t0, end=bus.clock())
-            done += 1
-            if produced is not None:
-                log.append((task, produced))
-            completed.add(task)
-            completed_order.append(task)
-            for succ in dag.succs[task]:
-                if succ in waiting:
-                    waiting[succ] -= 1
-                    if waiting[succ] == 0:
-                        heappush(heap, (-ranks[succ], position[succ], succ))
-            if ckpt.task_done():
-                ckpt.write(completed_order, log, device="serial")
-            if self.progress is not None:
-                self.progress(done, total, task)
-        if done != total:
-            raise SimulationError(f"serial runtime finished {done}/{total} tasks")
-        drain_fallbacks(self.metrics, workspace)
+        for t, n in self._waiting.items():
+            if n == 0:
+                self._release(t)
+
+    def _release(self, task) -> None:
+        priority = self._priority[task]
+        chunks = (task,)
+        if self._split is not None and task.is_batch:
+            chunks = self._split(task)
+        if len(chunks) > 1:
+            self._chunks_left[task] = len(chunks)
+            for c in chunks:
+                self._chunk_parent[c] = task
+        for c in chunks:
+            heappush(self._heap, (priority, c.col, c))
+
+    def pop(self):
+        """The highest-rank ready task, or None when none is ready."""
+        return heappop(self._heap)[-1] if self._heap else None
+
+    def workspace(self) -> Workspace:
+        """A fresh per-worker scratch arena (fallbacks drained at the end)."""
+        ws = Workspace()
+        self.workspaces.append(ws)
+        return ws
+
+    def execute(self, task, workspace: Workspace, device: str):
+        """Run one task's kernel under its tracer span and bus events,
+        through the retry envelope when a policy is in force; returns
+        the factors it produced (``None`` for updates)."""
+        bus = self.bus
         if bus is not None:
-            bus.publish("run.finish", "serial", {"tasks": done})
-            bus.drain()  # subscribers have seen everything when we return
-        return TiledQRFactorization(r=tiled, log=log, shape=shape)
+            t0 = bus.clock()
+            bus.task_start(task, device, t=t0)
+        if self.tracer is None:
+            produced = self._apply(task, workspace, device)
+        else:
+            b = self.tiled.tile_size
+            with self.tracer.task_span(task, device=device, tile_size=b):
+                produced = self._apply(task, workspace, device)
+        if bus is not None:
+            bus.task_finish(task, device, start=t0, end=bus.clock())
+        return produced
+
+    def _apply(self, task, workspace, device):
+        if self.policy is None:
+            return apply_task(
+                task, self.tiled, self.factors, workspace, backend=self.backend
+            )
+        return apply_task_resilient(
+            task, self.tiled, self.factors, workspace,
+            policy=self.policy, backend=self.backend, chaos=self.chaos,
+            health=self.health, health_ref_norm=self.ref_norm,
+            metrics=self.metrics, tracer=self.tracer, device=device, bus=self.bus,
+        )
+
+    def complete(self, task, produced) -> bool:
+        """Record a finished task (or chunk) and release its successors;
+        True when a checkpoint is due."""
+        # Task hashing is not free: skip the chunk lookup when none is out.
+        parent = self._chunk_parent.pop(task, None) if self._chunk_parent else None
+        if parent is not None:
+            self._chunks_left[parent] -= 1
+            if self._chunks_left[parent] > 0:
+                return False  # siblings still running
+            del self._chunks_left[parent]
+            task = parent
+        if produced is not None:
+            self.log.append((task, produced))
+        self.completed_order.append(task)
+        self.done += 1
+        waiting = self._waiting
+        for succ in self.dag.succs[task]:
+            left = waiting[succ] - 1
+            waiting[succ] = left
+            if left == 0:
+                self._release(succ)
+        return self.checkpoints.task_done()
+
+    def checkpoint(self, device: str) -> None:
+        """Snapshot the completed frontier; call with no task in flight."""
+        self.checkpoints.write(self.completed_order, self.log, device=device)
 
 
-class _NullCtx:
-    __slots__ = ()
+class TaskGraphRuntime(Runtime):
+    """An in-process runtime: a :class:`TaskGraphRun` driven by the
+    subclass's ``_dispatch(run)`` policy."""
 
-    def __enter__(self):
-        return self
+    #: Optional ``Task -> [chunks]`` splitter for ready batched tasks.
+    split = None
 
-    def __exit__(self, *exc):
-        return False
+    def _factorize(self, a, tile_size, resume, opts) -> TiledQRFactorization:
+        run = TaskGraphRun(a, tile_size, resume, opts, split=self.split)
+        self._run_started(opts.bus, run.dag, run.tiled, completed=run.done)
+        try:
+            self._dispatch(run)
+        finally:
+            drain_fallbacks(opts.metrics, *run.workspaces)
+        if run.done != run.total:
+            raise SimulationError(
+                f"{self.name} runtime finished {run.done}/{run.total} tasks"
+            )
+        self._run_finished(opts.bus, tasks=run.done)
+        return TiledQRFactorization(r=run.tiled, log=run.log, shape=run.shape)
+
+    def _dispatch(self, run: TaskGraphRun) -> None:
+        raise NotImplementedError
 
 
-_NULL_CTX = _NullCtx()
+class SerialRuntime(TaskGraphRuntime):
+    """Reference executor: one task at a time, highest-rank-ready first,
+    inline on the caller's thread — no threads, no locks.
+
+    ``elimination`` and the keyword ``options`` are the
+    :class:`RunOptions` fields; kernels run under device id ``"serial"``.
+    """
+
+    name = manager = "serial"
+
+    def __init__(self, elimination: str = "TS", **options):
+        super().__init__(elimination=elimination, **options)
+
+    def _dispatch(self, run: TaskGraphRun) -> None:
+        workspace = run.workspace()
+        execute, complete = run.execute, run.complete
+        while (task := run.pop()) is not None:
+            if complete(task, execute(task, workspace, "serial")):
+                run.checkpoint("serial")
 
 
 def tiled_qr(

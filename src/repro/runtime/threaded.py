@@ -1,24 +1,22 @@
 """Thread-pool execution of the tiled-QR DAG.
 
 Implements the manager/computing-thread structure of the paper's Fig. 7
-in-process: a dependency-counting dispatcher releases tasks as their
-predecessors complete, and a pool of worker threads executes them.
-NumPy's BLAS releases the GIL inside the tile GEMMs, so workers genuinely
-overlap on multicore hosts; on a single-core host the runtime still
-exercises the full concurrency-control path.
+in-process: the shared task-graph loop
+(:class:`~repro.runtime.serial.TaskGraphRun`) releases tasks as their
+predecessors complete, and a pool of worker threads executes them.  NumPy's BLAS releases the GIL inside
+the tile GEMMs, so workers genuinely overlap on multicore hosts; on a
+single-core host the runtime still exercises the full concurrency-control
+path.  Only the dispatch policy lives here; the ready heap, completion
+accounting, checkpoints and events are the serial runtime's.
 
 Correctness under reordering: any two factorization tasks left unordered
 by the DAG act on disjoint tile-row sets (otherwise they would conflict
 on a panel tile and be ordered), so their block reflectors commute and
 logging them in *completion* order still yields a valid ``Q``.
 
-Dispatch order: the ready set is a heap keyed by *bottom-level rank*
-(:func:`repro.dag.analysis.bottom_level_ranks`) — workers always pop
-the ready task with the longest weighted path to a sink, so the panel
-chain that bounds makespan is never starved by trailing updates.  FIFO
-dispatch made tall grids latency-bound: every ready update of panel
-``k`` drained before the panel ``k+1`` factorization task at the head
-of the critical path got a worker.
+Workers always pop the ready task with the longest weighted path to a
+sink, so the panel chain that bounds makespan is never starved by
+trailing updates.
 
 With ``batch_updates=True`` the DAG carries coarsened row-panel update
 tasks.  To keep the update-phase parallelism the per-tile DAG had, a
@@ -42,31 +40,13 @@ is a downward-closed frontier the resume path can trust.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from heapq import heappop, heappush
 
-import numpy as np
-
-from ..config import DEFAULT_TILE_SIZE
-from ..dag import build_dag
-from ..dag.analysis import bottom_level_ranks, task_weight_model
+# The layer ledger's traced mode patches these two names on this module.
+from ..dag import build_dag  # noqa: F401
+from ..dag.analysis import bottom_level_ranks  # noqa: F401
 from ..dag.tasks import Task
-from ..dag.trees import canonical_tree
-from ..errors import ShapeError, SimulationError
-from ..kernels.backends import resolve_backend
-from ..kernels.workspace import Workspace, drain_fallbacks
-from ..tiles import TiledMatrix
-from .core_exec import Factors, apply_task, apply_task_resilient
-from .factorization import TiledQRFactorization
-from .serial import (
-    _CheckpointWriter,
-    check_resume_state,
-    coerce_input,
-    health_ref_norm,
-    resolve_policy,
-    run_with_bundle_capture,
-)
+from .serial import TaskGraphRun, TaskGraphRuntime
 
 
 def split_batch(task: Task, parts: int) -> list[Task]:
@@ -87,48 +67,18 @@ def split_batch(task: Task, parts: int) -> list[Task]:
     ]
 
 
-class ThreadedRuntime:
+class ThreadedRuntime(TaskGraphRuntime):
     """Dependency-driven thread-pool executor.
 
-    Parameters
-    ----------
-    num_workers:
-        Worker thread count (the paper's "computing threads").
-    elimination:
-        Elimination-tree name or alias (``"flat"``/``"TS"``,
-        ``"flat-tt"``, ``"binary"``/``"TT"``, ``"fibonacci"``,
-        ``"greedy"`` — see :mod:`repro.dag.trees`).
-    tracer:
-        Optional :class:`repro.observability.Tracer`; each worker emits
-        kernel spans under device id ``"worker-<i>"`` into its own
-        thread-local buffer (no hot-path contention).
-    batch_updates:
-        Coarsen the update phase into row-panel tasks (see module
-        docstring); each worker owns a private
-        :class:`~repro.kernels.workspace.Workspace` arena so the hot
-        path's GEMMs never allocate.
-    retry_policy, chaos, health_checks, metrics:
-        Resilience controls, identical to
-        :class:`~repro.runtime.serial.SerialRuntime`'s.
-    bus:
-        Optional :class:`repro.observability.TelemetryBus`.  Workers
-        publish ``task.start``/``task.finish`` (plus retries and
-        checkpoints) live, and when the bus carries a
-        ``heartbeat_interval`` a
-        :class:`~repro.observability.live.heartbeat.HeartbeatMonitor`
-        runs for the duration of the factorization — a kernel that
-        stalls (e.g. a chaos ``hang``) raises ``heartbeat.missed``
-        events well before the retry-policy deadline classifies it.
-    checkpoint_every / checkpoint_path:
-        Periodic quiescent-point snapshots (see module docstring).
-    bundle_out:
-        Optional failure-bundle path, identical to
-        :class:`~repro.runtime.serial.SerialRuntime`'s.
-    backend:
-        Kernel backend (name, object, or ``None`` for ``reference``),
-        shared by every worker — backend objects must therefore be
-        thread-safe for concurrent kernel calls (the shipped ones are
-        stateless).
+    ``num_workers`` is the worker thread count (the paper's "computing
+    threads"); ``elimination`` and the keyword ``options`` are the
+    :class:`~repro.runtime.serial.RunOptions` fields.  Worker ``i`` runs
+    kernels under device id ``"worker-<i>"`` with a private
+    :class:`~repro.kernels.workspace.Workspace`.  With a bus whose
+    ``heartbeat_interval`` is set, a
+    :class:`~repro.observability.live.heartbeat.HeartbeatMonitor` runs for
+    the duration of the factorization, so a stalled kernel raises
+    ``heartbeat.missed`` events before the retry deadline classifies it.
 
     A kernel exception in any worker aborts the factorization and
     re-raises in the calling thread, annotated with the failing task;
@@ -136,305 +86,120 @@ class ThreadedRuntime:
     first fatal error.
     """
 
-    def __init__(
-        self,
-        num_workers: int = 4,
-        elimination: str = "TS",
-        tracer=None,
-        batch_updates: bool = False,
-        retry_policy=None,
-        chaos=None,
-        health_checks: bool = False,
-        metrics=None,
-        checkpoint_every: int | None = None,
-        checkpoint_path=None,
-        backend=None,
-        bus=None,
-        bundle_out=None,
-    ):
+    name = "threaded"
+
+    def __init__(self, num_workers: int = 4, elimination: str = "TS", **options):
         if num_workers < 1:
             raise ValueError(f"need at least one worker, got {num_workers}")
+        super().__init__(elimination=elimination, **options)
         self.num_workers = num_workers
-        self.elimination = canonical_tree(elimination)
-        self.tracer = tracer
-        self.batch_updates = batch_updates
-        self.retry_policy = retry_policy
-        self.chaos = chaos
-        self.health_checks = health_checks
-        self.metrics = metrics
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        self.backend = resolve_backend(backend)
-        self.bus = bus
-        self.bundle_out = bundle_out
 
-    def factorize(
-        self, a, tile_size: int = DEFAULT_TILE_SIZE, resume=None
-    ) -> TiledQRFactorization:
-        """Factorize ``a``; same contract as :meth:`SerialRuntime.factorize`."""
-        if self.bundle_out is None:
-            return self._factorize(a, tile_size, resume)
-        meta = {
-            "runtime": "threaded",
-            "workers": self.num_workers,
-            "elimination": self.elimination,
-            "batch_updates": self.batch_updates,
-            "backend": self.backend.name,
-            "tile_size": tile_size,
-        }
-        if self.retry_policy is not None:
-            meta["retry_policy"] = self.retry_policy.to_dict()
-        return run_with_bundle_capture(
-            self,
-            lambda: self._factorize(a, tile_size, resume),
-            fault_plan=self.chaos.plan if self.chaos is not None else None,
-            meta=meta,
-        )
+    def _describe(self) -> dict:
+        return {"workers": self.num_workers}
 
-    def _factorize(self, a, tile_size: int, resume=None) -> TiledQRFactorization:
-        tiled, shape = coerce_input(a, tile_size, self.batch_updates)
+    def split(self, task: Task) -> list[Task]:
+        """One column chunk of a ready batch per worker."""
+        return split_batch(task, self.num_workers)
 
-        dag = build_dag(
-            tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates
-        )
-        factors: dict[tuple, Factors] = {}
-        log: list[tuple[Task, Factors]] = []
-        completed_set: set[Task] = set()
-        completed_order: list[Task] = []
-        if resume is not None:
-            completed_set = check_resume_state(
-                resume, dag, tiled, self.elimination, self.batch_updates
-            )
-            completed_order = list(resume.completed)
-            log = list(resume.log)
-            for task, f in log:
-                key = (
-                    ("Vg", task.row, task.k)
-                    if task.kind.name == "GEQRT"
-                    else ("Ve", task.row, task.k)
-                )
-                factors[key] = f
-
-        remaining = {
-            t: sum(1 for d in dag.preds[t] if d not in completed_set)
-            for t in dag.tasks
-            if t not in completed_set
-        }
-        # Heap-backed ready queue: entries are (-rank, emission position,
-        # sequence, task) so pops are highest-bottom-level-rank first
-        # with a fully deterministic tie-break (the sequence also keeps
-        # the heap from ever comparing Task objects).  Chunks of a split
-        # batch inherit their parent's priority.
-        ranks = bottom_level_ranks(dag, task_weight_model(tiled.tile_size))
-        position = {t: n for n, t in enumerate(dag.tasks)}
-        ready_heap: list[tuple[float, int, int, Task]] = []
-        seq = itertools.count()
-
-        lock = threading.Lock()
-        cond = threading.Condition(lock)
-        done_count = [len(completed_set)]
-        total = len(dag.tasks)
-        errors: list[BaseException] = []
-        all_done = threading.Event()
+    def _dispatch(self, run: TaskGraphRun) -> None:
+        cond = threading.Condition()
         cancel = threading.Event()
-        stop = [False]
-        # Stop-the-world checkpoint state, all guarded by `cond`:
-        inflight = [0]
-        paused = [False]
-        if done_count[0] == total:
+        all_done = threading.Event()
+        errors: list[BaseException] = []
+        # Guarded by `cond`: kernels executing, dispatch paused for a
+        # stop-the-world checkpoint, run over.
+        inflight = 0
+        paused = stop = False
+        if run.done == run.total:
             all_done.set()
-
-        # Chunked batch bookkeeping: chunk task -> parent DAG task, and
-        # parent -> number of chunks still running.  Mutated under `lock`
-        # except for the initial seeding below (workers not started yet).
-        chunk_parent: dict[Task, Task] = {}
-        chunk_left: dict[Task, int] = {}
-
-        def enqueue(task: Task) -> None:
-            """Push a DAG task, splitting ready batches across workers.
-
-            Caller holds ``cond`` (or no worker is running yet); waiters
-            are woken by the caller's ``notify_all``.
-            """
-            pri, pos = -ranks[task], position[task]
-            if task.is_batch and self.num_workers > 1:
-                chunks = split_batch(task, self.num_workers)
-                if len(chunks) > 1:
-                    chunk_left[task] = len(chunks)
-                    for c in chunks:
-                        chunk_parent[c] = task
-                        heappush(ready_heap, (pri, pos, next(seq), c))
-                    return
-            heappush(ready_heap, (pri, pos, next(seq), task))
-
-        for t in dag.tasks:
-            if t not in completed_set and remaining[t] == 0:
-                enqueue(t)
-
-        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
-        b = tiled.tile_size
-        policy = resolve_policy(self.retry_policy, self.chaos, self.health_checks)
-        ref_norm = health_ref_norm(tiled) if self.health_checks else None
-        bus = self.bus
-        if bus is not None:
-            bus.publish(
-                "run.start",
-                "manager",
-                {
-                    "runtime": "threaded",
-                    "total_tasks": total,
-                    "total_units": sum(t.ncols for t in dag.tasks),
-                    "grid": [tiled.grid_rows, tiled.grid_cols],
-                    "tile_size": b,
-                    "workers": self.num_workers,
-                    "completed": done_count[0],
-                },
-            )
-        ckpt = _CheckpointWriter(
-            self.checkpoint_every, self.checkpoint_path, dag, tiled, shape,
-            self.metrics, tracer, bus,
-        )
 
         def fail(exc: BaseException) -> None:
             """First-error path: record, cancel all pending work, wake everyone."""
+            nonlocal paused
             with cond:
                 errors.append(exc)
                 # A pauser waiting for quiescence must not deadlock on a
                 # worker that died instead of decrementing inflight.
-                paused[0] = False
+                paused = False
                 cond.notify_all()
             cancel.set()
             all_done.set()
 
-        workspaces = [Workspace() for _ in range(self.num_workers)]
-
         def pop_task() -> Task | None:
             """Highest-rank ready task; None when the run is over.
 
-            Blocks while the heap is empty or dispatch is paused for a
+            Blocks while nothing is ready or dispatch is paused for a
             checkpoint; increments ``inflight`` atomically with the pop
             so the pauser's quiescence wait is race-free.
             """
+            nonlocal inflight
             with cond:
                 while True:
-                    if cancel.is_set() or stop[0]:
+                    if cancel.is_set() or stop:
                         return None
-                    if ready_heap and not paused[0]:
-                        _, _, _, task = heappop(ready_heap)
-                        inflight[0] += 1
+                    task = None if paused else run.pop()
+                    if task is not None:
+                        inflight += 1
                         return task
                     cond.wait()
 
-        def worker(index: int) -> None:
-            device = f"worker-{index}"
-            workspace = workspaces[index]
-            while True:
-                task = pop_task()
-                if task is None:
-                    return
-                def run_one(t: Task):
-                    if policy is not None:
-                        return apply_task_resilient(
-                            t, tiled, factors, workspace,
-                            policy=policy, backend=self.backend, chaos=self.chaos,
-                            health=self.health_checks, health_ref_norm=ref_norm,
-                            metrics=self.metrics,
-                            tracer=tracer, device=device, bus=bus,
-                        )
-                    return apply_task(t, tiled, factors, workspace, backend=self.backend)
-
+        def worker(device: str, workspace) -> None:
+            nonlocal inflight, paused
+            while (task := pop_task()) is not None:
                 try:
-                    if bus is not None:
-                        t0 = bus.clock()
-                        bus.task_start(task, device, t=t0)
-                    if tracer is not None:
-                        with tracer.task_span(task, device=device, tile_size=b):
-                            produced = run_one(task)
-                    else:
-                        produced = run_one(task)
-                    if bus is not None:
-                        bus.task_finish(task, device, start=t0, end=bus.clock())
+                    produced = run.execute(task, workspace, device)
                 except BaseException as exc:  # propagate to the caller
                     with cond:
-                        inflight[0] -= 1
+                        inflight -= 1
                         cond.notify_all()
                     if hasattr(exc, "add_note"):  # 3.11+
                         exc.add_note(f"while executing task {task.label()} on {device}")
                     fail(exc)
                     return
                 with cond:
-                    inflight[0] -= 1
-                    parent = chunk_parent.pop(task, None)
-                    if parent is not None:
-                        chunk_left[parent] -= 1
-                        if chunk_left[parent] > 0:
-                            cond.notify_all()
-                            continue  # siblings still running; not done yet
-                        del chunk_left[parent]
-                        task = parent  # the DAG-level task just completed
-                    if produced is not None:
-                        log.append((task, produced))
-                    completed_order.append(task)
-                    done_count[0] += 1
-                    finished = done_count[0] == total
-                    newly_ready = []
-                    for succ in dag.succs[task]:
-                        remaining[succ] -= 1
-                        if remaining[succ] == 0:
-                            newly_ready.append(succ)
-                    for s in newly_ready:
-                        enqueue(s)
-                    if ckpt.task_done() and not finished and not cancel.is_set():
+                    inflight -= 1
+                    due = run.complete(task, produced)
+                    finished = run.done == run.total
+                    if due and not finished and not cancel.is_set():
                         # Stop the world: block new dispatch, drain
                         # in-flight kernels, snapshot, resume.
-                        paused[0] = True
-                        while inflight[0] > 0 and not cancel.is_set():
+                        paused = True
+                        while inflight > 0 and not cancel.is_set():
                             cond.wait()
                         if not cancel.is_set():
                             try:
-                                ckpt.write(completed_order, log, device=device)
+                                run.checkpoint(device)
                             except BaseException as exc:
-                                paused[0] = False
-                                cond.notify_all()
                                 fail(exc)
                                 return
-                        paused[0] = False
+                        paused = False
                     cond.notify_all()
                 if finished:
                     all_done.set()
 
         threads = [
             threading.Thread(
-                target=worker, args=(i,), name=f"tiledqr-worker-{i}", daemon=True
+                target=worker, args=(f"worker-{i}", run.workspace()),
+                name=f"tiledqr-worker-{i}", daemon=True,
             )
             for i in range(self.num_workers)
         ]
         monitor = None
-        if bus is not None and bus.heartbeat_interval:
+        if run.bus is not None and run.bus.heartbeat_interval:
             from ..observability.live.heartbeat import HeartbeatMonitor
 
-            monitor = HeartbeatMonitor(bus).start()
+            monitor = HeartbeatMonitor(run.bus).start()
         try:
             for th in threads:
                 th.start()
             all_done.wait()
             with cond:
-                stop[0] = True
+                stop = True
                 cond.notify_all()
             for th in threads:
                 th.join()
         finally:
             if monitor is not None:
                 monitor.stop()
-        drain_fallbacks(self.metrics, *workspaces)
-
         if errors:
             raise errors[0]
-        if done_count[0] != total:
-            raise SimulationError(
-                f"threaded runtime finished {done_count[0]}/{total} tasks"
-            )
-        if bus is not None:
-            bus.publish("run.finish", "manager", {"tasks": done_count[0]})
-            bus.drain()  # subscribers have seen everything when we return
-        return TiledQRFactorization(r=tiled, log=log, shape=shape)

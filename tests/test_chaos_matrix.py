@@ -109,7 +109,7 @@ def test_multiprocess_survives(name, matrix, clean_r, optimizer):
         dist,
         tracer=tracer,
         retry_policy=RetryPolicy(max_attempts=3, backoff=0.0, jitter=0.0),
-        chaos_plan=plan,
+        chaos=plan,
         health_checks=needs_health,
         metrics=metrics,
     ).factorize(matrix.copy(), B)

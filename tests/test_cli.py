@@ -239,16 +239,6 @@ class TestPerfCLI:
         assert main(["perf", str(p), "--check", "--threshold", "0.05"]) == 1
         assert main(["perf", str(p), "--check", "--threshold", "0.20"]) == 0
 
-    def test_trace_perf_out_roundtrip(self, capsys, tmp_path):
-        p = tmp_path / "BENCH_traced.json"
-        for _ in range(2):
-            assert main(
-                ["trace", "64", "--runtime", "serial", "--perf-out", str(p)]
-            ) == 0
-        capsys.readouterr()
-        assert main(["perf", str(p)]) == 0
-        assert "traced_run" in capsys.readouterr().out
-
 
 class TestExitCodes:
     """Each failure class maps to its own documented exit code.

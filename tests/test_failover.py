@@ -34,7 +34,7 @@ def _run(dist, matrix, plan):
     metrics = MetricsRegistry()
     tracer = Tracer(metrics=metrics)
     fact = MultiprocessRuntime(
-        dist, tracer=tracer, retry_policy=POLICY, chaos_plan=plan, metrics=metrics
+        dist, tracer=tracer, retry_policy=POLICY, chaos=plan, metrics=metrics
     ).factorize(matrix.copy(), B)
     return fact, metrics.snapshot()["counters"], tracer.annotation_records()
 
@@ -104,7 +104,7 @@ def test_all_devices_dead_raises(matrix, optimizer):
     ))
     with pytest.raises(WorkerFailoverError, match="no surviving devices"):
         MultiprocessRuntime(
-            dist, retry_policy=POLICY, chaos_plan=plan
+            dist, retry_policy=POLICY, chaos=plan
         ).factorize(matrix.copy(), B)
 
 
@@ -134,7 +134,7 @@ def test_hung_worker_is_detected_and_failed_over(matrix, clean_r, optimizer):
     metrics = MetricsRegistry()
     policy = RetryPolicy(max_attempts=2, backoff=0.0, jitter=0.0, deadline=0.05)
     fact = MultiprocessRuntime(
-        dist, retry_policy=policy, chaos_plan=plan, metrics=metrics
+        dist, retry_policy=policy, chaos=plan, metrics=metrics
     ).factorize(matrix.copy(), B)
     counters = metrics.snapshot()["counters"]
     assert counters["resilience.timeouts"] >= 1

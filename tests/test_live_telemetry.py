@@ -494,7 +494,7 @@ class TestRuntimes:
             retry_policy=RetryPolicy(
                 max_attempts=2, backoff=0.0, jitter=0.0, deadline=0.05
             ),
-            chaos_plan=plan,
+            chaos=plan,
             bus=bus,
         ).factorize(matrix.copy(), B)
         bus.close()

@@ -311,7 +311,7 @@ class TestFaultClassMatrix:
             )
         )
         rt = MultiprocessRuntime(
-            dist, retry_policy=FAST_RETRY, chaos_plan=plan, bundle_out=out
+            dist, retry_policy=FAST_RETRY, chaos=plan, bundle_out=out
         )
         with pytest.raises(WorkerFailoverError):
             rt.factorize(matrix.copy(), B)
@@ -349,7 +349,7 @@ class TestCaptureRacesFailover:
         rt = MultiprocessRuntime(
             dist,
             retry_policy=RetryPolicy(max_attempts=3, backoff=0.0, jitter=0.0),
-            chaos_plan=FaultPlan(specs=tuple(specs)),
+            chaos=FaultPlan(specs=tuple(specs)),
             bundle_out=out,
         )
         a = np.random.default_rng(11).standard_normal((96, 96))

@@ -34,7 +34,6 @@ from repro.observability import (
     expand_batched,
     explain_plan,
     kernel_times,
-    record_traced_run,
     summarize_trace,
 )
 from repro.runtime.serial import SerialRuntime
@@ -449,7 +448,14 @@ class TestPerfTracker:
         self._write(p, [3.0, 3.2, 2.9])
         assert compare_trajectory(p).ok
 
-    def test_lower_is_better_direction(self, tmp_path):
+    def test_lower_is_better_direction(self, tmp_path, monkeypatch):
+        from repro.observability import perf
+
+        monkeypatch.setitem(
+            perf.GATES,
+            "traced_run",
+            perf.GatedMetric("makespan_seconds", False, ("runtime", "n", "tile_size")),
+        )
         p = tmp_path / "BENCH_traced.json"
         for s in (1.0, 1.0, 1.5):
             append_record(
@@ -474,17 +480,6 @@ class TestPerfTracker:
         report = compare_trajectory(p)
         assert report.ok  # 10x delta, but nothing gated
         assert report.rows and not report.rows[0].gated
-
-    def test_record_traced_run(self, tmp_path):
-        tracer = Tracer()
-        a = np.random.default_rng(4).standard_normal((64, 64))
-        SerialRuntime(tracer=tracer).factorize(a, 16)
-        p = record_traced_run(tmp_path / "BENCH_t.json", "serial", 64, 16, tracer.to_trace())
-        doc = json.loads(p.read_text())
-        case = doc[0]["cases"][0]
-        assert case["runtime"] == "serial"
-        assert case["makespan_seconds"] > 0
-        assert case["compute_busy_seconds"] > 0
 
     def test_load_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -120,33 +120,6 @@ class TestPlannerOnRandomSystems:
             assert (weight > 0) == (d in guide)
 
 
-class TestProgressHook:
-    def test_serial_runtime_reports_every_task(self, rng):
-        from repro.dag.analysis import task_counts_total
-        from repro.runtime.serial import SerialRuntime
-
-        seen = []
-        rt = SerialRuntime(progress=lambda done, total, task: seen.append((done, total)))
-        rt.factorize(rng.standard_normal((64, 64)), 16)
-        expected = sum(task_counts_total(4, 4).values())
-        assert len(seen) == expected
-        assert seen[-1] == (expected, expected)
-        assert [d for d, _ in seen] == list(range(1, expected + 1))
-
-    def test_progress_can_abort(self, rng):
-        from repro.runtime.serial import SerialRuntime
-
-        class Abort(RuntimeError):
-            pass
-
-        def cb(done, _total, _task):
-            if done >= 3:
-                raise Abort()
-
-        with pytest.raises(Abort):
-            SerialRuntime(progress=cb).factorize(rng.standard_normal((64, 64)), 16)
-
-
 class TestDESFuzz:
     """Fuzz the discrete-event simulator over random grids and plans;
     every run must satisfy all conservation laws."""
