@@ -15,6 +15,10 @@ import numpy as np
 from ..errors import KernelError
 
 
+#: LAPACK's safe minimum / eps: a squared norm below it lost digits to underflow.
+_SAFMIN = {np.dtype(t): float(np.finfo(t).tiny / np.finfo(t).eps) for t in (np.float32, np.float64)}
+
+
 @dataclass(frozen=True)
 class HouseholderReflector:
     """An elementary reflector ``H = I - tau * v v^T`` with ``v[0] == 1``.
@@ -66,20 +70,27 @@ def make_reflector(x: np.ndarray) -> HouseholderReflector:
     alpha = float(x[0])
     tail = x[1:]
     sigma = float(tail @ tail)
+    scale = 1.0
+    if sigma < _SAFMIN.get(dtype, 0.0) and (scale := float(np.abs(x).max())) > 0.0:
+        # Rescale to max|x| = 1 before the norm, as LAPACK's dlarfg does;
+        # v and tau are scale-invariant, beta is scaled back.
+        tail = x[1:] / scale
+        sigma = float(tail @ tail)
     v = np.empty_like(x)
     v[0] = 1.0
     if sigma == 0.0:
         # Already in reflected form; H = I.
         return HouseholderReflector(v=np.concatenate(([1.0], np.zeros_like(tail))).astype(dtype), tau=0.0, beta=alpha)
 
-    norm_x = float(np.hypot(alpha, np.sqrt(sigma)))
-    beta = -np.copysign(norm_x, alpha) if alpha != 0.0 else -norm_x
+    head = alpha / scale
+    norm_x = float(np.hypot(head, np.sqrt(sigma)))
+    beta = -np.copysign(norm_x, head) if head != 0.0 else -norm_x
     # v = (x - beta e1) / (x[0] - beta); with this sign choice the
     # denominator is |x0| + ||x|| scaled, never catastrophic.
-    denom = alpha - beta
+    denom = head - beta
     v[1:] = tail / denom
-    tau = (beta - alpha) / beta
-    return HouseholderReflector(v=v, tau=float(tau), beta=float(beta))
+    tau = (beta - head) / beta
+    return HouseholderReflector(v=v, tau=float(tau), beta=float(beta) * scale)
 
 
 def apply_reflector(refl: HouseholderReflector, c: np.ndarray) -> np.ndarray:

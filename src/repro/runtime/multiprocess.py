@@ -67,6 +67,7 @@ from ..core.plan import DistributionPlan
 from ..errors import SimulationError, WorkerFailoverError
 from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace
+from .blas import blas_threads, set_num_threads
 from .factorization import TiledQRFactorization
 from ..dag.tasks import Task, TaskKind
 from ..dag.trees import resolve_tree
@@ -240,6 +241,7 @@ def _worker_main(
     ``policy`` is the manager's effective retry policy (``None`` runs
     kernels bare).
     """
+    set_num_threads(1)  # one BLAS thread per worker process (spawn start method)
     columns: dict[int, list[np.ndarray]] = {}
     events: list[tuple] = []
     workspace = Workspace()
@@ -591,7 +593,8 @@ class MultiprocessRuntime(Runtime):
                 ),
                 daemon=True,
             )
-            proc.start()
+            with blas_threads(1):  # a forked worker inherits the pin
+                proc.start()
             child.close()
             workers[dev] = (parent, proc)
 

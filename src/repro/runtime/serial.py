@@ -159,16 +159,18 @@ def coerce_input(a, tile_size: int, storage: str = "tiles"):
     """Shared input handling: returns ``(tiled, shape)``.
 
     A :class:`TiledMatrix` (e.g. a resume snapshot's tiles) passes
-    through unscanned.  A dense input must be a finite, real ``m x n``
-    matrix with ``m >= n``; anything else fails here, before tiling.
+    through unscanned.  A dense input must be a non-empty, finite, real
+    numeric ``m x n`` matrix with ``m >= n``; anything else fails first.
     """
     if isinstance(a, TiledMatrix):
         return a, a.shape
     arr = np.asarray(a)
-    if np.iscomplexobj(arr):
-        raise ConfigError(f"tiled QR takes real input, got dtype {arr.dtype}")
+    if arr.dtype.kind not in "biuf":
+        raise ConfigError(f"tiled QR takes real numeric input, got dtype {arr.dtype}")
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise ConfigError(f"tiled QR needs a non-empty matrix, got shape {arr.shape}")
     if arr.shape[0] < arr.shape[1]:
         raise ShapeError(f"QR requires m >= n, got shape {arr.shape}")
     if not np.isfinite(arr).all():

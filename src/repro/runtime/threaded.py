@@ -46,6 +46,7 @@ import threading
 from ..dag import build_dag  # noqa: F401
 from ..dag.analysis import bottom_level_ranks  # noqa: F401
 from ..dag.tasks import Task
+from .blas import blas_threads
 from .serial import TaskGraphRun, TaskGraphRuntime
 
 
@@ -190,14 +191,15 @@ class ThreadedRuntime(TaskGraphRuntime):
 
             monitor = HeartbeatMonitor(run.bus).start()
         try:
-            for th in threads:
-                th.start()
-            all_done.wait()
-            with cond:
-                stop = True
-                cond.notify_all()
-            for th in threads:
-                th.join()
+            with blas_threads(1):  # one BLAS thread per worker
+                for th in threads:
+                    th.start()
+                all_done.wait()
+                with cond:
+                    stop = True
+                    cond.notify_all()
+                for th in threads:
+                    th.join()
         finally:
             if monitor is not None:
                 monitor.stop()

@@ -1,0 +1,164 @@
+"""One BLAS thread per kernel worker: the threaded runtime pins the
+process's OpenBLAS count for the pool's lifetime and restores it, and a
+multiprocess worker pins its own process once."""
+
+import multiprocessing as mp
+import threading
+
+import numpy as np
+import pytest
+
+from repro.kernels.backends import (
+    KERNEL_NAMES, FunctionBackend, get_backend, register_backend, unregister_backend,
+)
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
+from repro.runtime import blas
+from repro.runtime.multiprocess import MultiprocessRuntime
+from repro.runtime.serial import SerialRuntime
+from repro.runtime.threaded import ThreadedRuntime
+
+pytestmark = pytest.mark.skipif(
+    blas.get_num_threads() is None, reason="NumPy's BLAS thread count is not controllable"
+)
+
+B = 32
+#: The caller's count during these tests; anything but 1, so a missing
+#: pin or a missing restore is visible.
+CALLER = 3
+
+
+@pytest.fixture(autouse=True)
+def caller_count():
+    before = blas.get_num_threads()
+    blas.set_num_threads(CALLER)
+    yield
+    blas.set_num_threads(before)
+
+
+def _matrix(n=128, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, n))
+
+
+def _probe_backend(name, on_call):
+    """The reference kernels, calling ``on_call(kernel_name)`` before each."""
+    ref = get_backend("reference")
+
+    def wrap(kernel):
+        fn = getattr(ref, kernel)
+
+        def probed(*args, **kwargs):
+            on_call(kernel)
+            return fn(*args, **kwargs)
+
+        return probed
+
+    return FunctionBackend(
+        name=name, description="reference kernels behind a probe",
+        **{k: wrap(k) for k in KERNEL_NAMES},
+    )
+
+
+def _recorder(seen):
+    return _probe_backend("blas-probe", lambda kernel: seen.append(blas.get_num_threads()))
+
+
+class TestThreadedScope:
+    def test_count_restored_after_success(self):
+        ThreadedRuntime(2).factorize(_matrix(), B)
+        assert blas.get_num_threads() == CALLER
+
+    def test_count_restored_after_failure(self):
+        plan = FaultPlan(specs=(FaultSpec(FaultKind.EXCEPTION, task_kind="TSQRT", times=99),))
+        with pytest.raises(Exception):
+            ThreadedRuntime(2, chaos=plan).factorize(_matrix(), B)
+        assert blas.get_num_threads() == CALLER
+
+    def test_kernels_in_workers_see_one_thread(self):
+        seen = []
+        ThreadedRuntime(2, backend=_recorder(seen)).factorize(_matrix(), B)
+        assert seen and set(seen) == {1}
+
+    def test_serial_kernels_keep_the_callers_count(self):
+        seen = []
+        SerialRuntime(backend=_recorder(seen)).factorize(_matrix(), B)
+        assert set(seen) == {CALLER}
+
+    def test_overlapping_runs_restore_the_original_count(self):
+        # The first GEQRT of each run waits for the other run's first
+        # GEQRT, so the two pools are alive at the same time.
+        meet = threading.Barrier(2, timeout=30)
+        lock, calls = threading.Lock(), [0]
+        seen, results, errors = [], {}, []
+
+        def record_and_meet(kernel):
+            seen.append(blas.get_num_threads())
+            if kernel != "geqrt":
+                return
+            with lock:
+                calls[0] += 1
+                first_two = calls[0] <= 2
+            if first_two:
+                meet.wait()
+
+        backend = _probe_backend("blas-probe", record_and_meet)
+
+        def run(key):
+            try:
+                results[key] = ThreadedRuntime(2, backend=backend).factorize(_matrix(), B)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not errors and len(results) == 2
+        assert set(seen) == {1}
+        assert blas.get_num_threads() == CALLER
+        assert np.array_equal(results[0].r_dense(), results[1].r_dense())
+
+    def test_missing_symbols_are_a_no_op(self, monkeypatch):
+        a = _matrix(256, seed=4)
+        pinned = ThreadedRuntime(2).factorize(a.copy(), 64).r_dense()
+        monkeypatch.setattr(blas, "_symbols", lambda: None)
+        assert blas.get_num_threads() is None
+        with blas.blas_threads(1):
+            pass
+        unpinned = ThreadedRuntime(2).factorize(a.copy(), 64).r_dense()
+        assert np.array_equal(unpinned, pinned)
+
+
+def test_setting_the_current_count_skips_the_setter(monkeypatch):
+    # In a forked child OpenBLAS's setter restarts its pool, whose idle
+    # threads spin; a worker that inherited the pin must not call it.
+    calls = []
+    monkeypatch.setattr(blas, "_symbols", lambda: (lambda: 1, calls.append))
+    blas.set_num_threads(1)
+    assert calls == []
+    blas.set_num_threads(2)
+    assert calls == [2]
+
+
+class TestMultiprocessWorker:
+    @pytest.fixture
+    def probe(self):
+        # Workers resolve backends by name in the child, so the probe must
+        # be registered; it fails any kernel that sees more than one thread.
+        def check(kernel):
+            if (count := blas.get_num_threads()) != 1:
+                raise RuntimeError(f"{kernel} ran with {count} BLAS threads")
+
+        register_backend(_probe_backend("blas-one-thread", check))
+        yield "blas-one-thread"
+        unregister_backend("blas-one-thread")
+
+    def test_worker_kernels_see_one_thread(self, probe, optimizer):
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("the probe backend reaches workers only through fork")
+        plan = optimizer.plan(matrix_size=128, tile_size=B, num_devices=2)
+        a = _matrix()
+        fact = MultiprocessRuntime(plan, backend=probe).factorize(a.copy(), B)
+        expected = SerialRuntime().factorize(a.copy(), B)
+        assert np.array_equal(fact.r_dense(), expected.r_dense())
+        assert blas.get_num_threads() == CALLER

@@ -78,6 +78,16 @@ class TestMakeReflector:
         r = make_reflector(np.array([3, 4]))
         assert r.v.dtype.kind == "f"
 
+    def test_underflowing_norm_stays_orthogonal(self):
+        # ||x||^2 underflows to a denormal; without rescaling, H H^T was
+        # off identity by 3.8e-4.
+        x = np.array([0.0, 2.2e-161])
+        r = make_reflector(x)
+        h = r.matrix()
+        np.testing.assert_allclose(h @ h.T, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(h @ x, [r.beta, 0.0], rtol=0, atol=1e-14 * 2.2e-161)
+        assert abs(r.beta) == pytest.approx(2.2e-161, rel=1e-14)
+
     @given(vectors(min_size=2, max_size=24))
     @settings(max_examples=60, deadline=None)
     def test_property_reflection(self, x):

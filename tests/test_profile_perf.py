@@ -10,6 +10,7 @@ scheduling algorithms, whose decisions the audit explains.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -370,11 +371,19 @@ class TestEndToEndLoop:
     make when called directly."""
 
     def test_measured_loop_matches_direct_calls(self):
-        tracer = Tracer()
         a = np.random.default_rng(3).standard_normal((96, 96))
-        ThreadedRuntime(num_workers=2, tracer=tracer).factorize(a, 32)
         store = ProfileStore()
-        store.ingest_trace(tracer.to_trace(), tile_size=32)
+        # One traced threaded run per device id, so every device is
+        # measured by construction: a shared 2-worker run can have one
+        # thread finish all 14 tasks before the other starts.  A
+        # one-worker pool runs on "worker-0"; its records are filed
+        # under the device being measured.
+        for device in ("worker-0", "worker-1"):
+            tracer = Tracer()
+            ThreadedRuntime(num_workers=1, tracer=tracer).factorize(a, 32)
+            trace = tracer.to_trace()
+            trace.tasks = [dataclasses.replace(r, device_id=device) for r in trace.tasks]
+            store.ingest_trace(trace, tile_size=32)
         system = store.to_system()
         assert sorted(system.device_ids) == ["worker-0", "worker-1"]
 

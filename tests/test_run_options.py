@@ -126,7 +126,8 @@ class TestThreadedStress:
 
 
 class TestInputValidation:
-    """Non-finite or complex dense input fails before any tiling."""
+    """Non-finite, complex, empty or non-numeric dense input fails before
+    any tiling."""
 
     @staticmethod
     def _bad(kind):
@@ -135,12 +136,22 @@ class TestInputValidation:
             a[3, 5] = np.nan
         elif kind == "inf":
             a[10, 2] = -np.inf
-        else:
+        elif kind == "complex":
             a = a + 1j * a
+        elif kind == "empty-0x0":
+            a = np.zeros((0, 0))
+        elif kind == "empty-5x0":
+            a = np.zeros((5, 0))
+        elif kind == "str":
+            a = a.astype(str)
+        else:
+            a = a.astype(object)
         return a
 
     @pytest.mark.parametrize("runtime", RUNTIMES)
-    @pytest.mark.parametrize("kind", ["nan", "inf", "complex"])
+    @pytest.mark.parametrize(
+        "kind", ["nan", "inf", "complex", "empty-0x0", "empty-5x0", "str", "object"]
+    )
     def test_bad_input_raises_config_error(self, runtime, kind, dist):
         with pytest.raises(ConfigError) as info:
             _make(runtime, dist).factorize(self._bad(kind), B)
@@ -149,3 +160,9 @@ class TestInputValidation:
     def test_tiled_qr_rejects_nan(self):
         with pytest.raises(ConfigError, match="NaN or Inf"):
             tiled_qr(self._bad("nan"))
+
+    def test_tiled_qr_rejects_empty_and_non_numeric(self):
+        with pytest.raises(ConfigError, match="non-empty"):
+            tiled_qr(self._bad("empty-5x0"))
+        with pytest.raises(ConfigError, match="numeric"):
+            tiled_qr(self._bad("str"))
