@@ -13,7 +13,9 @@ express honestly:
   (the Eq. 11 broadcasts), and migrates the next panel column to the
   panel owner — every byte that the simulators price is a real pickled
   message here;
-* workers update their own columns with the real NumPy kernels.
+* workers run their DAG tasks through the in-process runtimes' kernel
+  layer (:mod:`repro.runtime.core_exec`) over their own columns, so this
+  module holds only ownership, messages, failover and checkpoints.
 
 This runtime exists to *validate the distribution logic end to end*
 (ownership, broadcast, column migration) rather than for speed: with
@@ -41,11 +43,10 @@ manager runs each panel as a *transaction* that survives device loss:
   sent only to columns that have not absorbed them, so no update is
   ever applied twice.
 
-Workers additionally run their kernels under the same retry envelope as
-the in-process runtimes (snapshot written tiles, replay on retryable
-failure), with optional chaos injection and NaN/Inf health sentinels;
-``resilience.*`` counter increments are piggybacked on every reply and
-folded into the manager's metrics registry.
+Workers run every task through the shared retry envelope
+(:func:`~repro.runtime.core_exec.apply_task_resilient`, per-kernel
+``RetryPolicy.deadline`` included); its counters land in a worker-local
+metrics registry whose deltas ride every reply into the manager's.
 
 Mid-run checkpoints are panel-aligned: after every ``checkpoint_every``
 panels the manager gathers the live columns and writes a format-2
@@ -57,45 +58,20 @@ resume on any runtime.
 from __future__ import annotations
 
 import multiprocessing as mp
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 
 from ..core.plan import DistributionPlan
+from ..dag.tasks import Task, TaskKind
 from ..errors import SimulationError, WorkerFailoverError
 from ..kernels.backends import resolve_backend
-from ..kernels.workspace import Workspace
+from ..kernels.workspace import Workspace, drain_fallbacks
 from .blas import blas_threads, set_num_threads
+from .core_exec import Factors, apply_task, apply_task_resilient, factor_key
 from .factorization import TiledQRFactorization
-from ..dag.tasks import Task, TaskKind
-from ..dag.trees import resolve_tree
 from .serial import Runtime, _CheckpointWriter, check_resume_state, coerce_input
-
-
-_NULL_TIMER = nullcontext()
-
-
-class _EventTimer:
-    """Times one worker-side kernel call into the event buffer."""
-
-    __slots__ = ("events", "key", "clock", "start")
-
-    def __init__(self, events, kind, k, row, row2, col, col_end, clock):
-        self.events = events
-        self.key = (kind, k, row, row2, col, col_end)
-        self.clock = clock
-        self.start = 0.0
-
-    def __enter__(self):
-        self.start = self.clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.events.append(self.key + (self.start, self.clock()))
-        return False
 
 
 class _WorkerDied(Exception):
@@ -108,7 +84,8 @@ class _WorkerDied(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Messages (manager -> worker); workers answer ("ok"|"error", payload, stats).
+# Messages (manager -> worker).  Workers answer every message with
+# ("ok"|"error", payload, counter deltas, kernel events).
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -122,17 +99,16 @@ class LoadColumns:
 class FactorPanel:
     """Run the panel reduction on panel ``k`` (worker owns col k).
 
-    ``ops`` is the elimination tree's ordered op list — ``("G", row)``
-    for a GEQRT, ``("TS", bot, top)`` / ``("TT", bot, top)`` for a
-    merge — computed manager-side from :mod:`repro.dag.trees` so the
-    worker stays tree-agnostic.  Replies with ``(factors,
-    column_tiles)``: the serialized factors (keys ``(op_kind, k, row,
-    top)``) and a copy of the finished column — the manager's shadow R
-    column for failover.
+    ``tasks`` are the panel's factorization tasks in tree order, taken
+    manager-side from the elimination tree's DAG, so the worker stays
+    tree-agnostic.  Replies with ``(factors, column_tiles)``: the
+    ``[(task, factors)]`` pairs with ``r`` stripped (the R tiles stay
+    with the column) and a copy of the finished column — the manager's
+    shadow R column for failover.
     """
 
     k: int
-    ops: list
+    tasks: list[Task]
 
 
 @dataclass
@@ -160,7 +136,7 @@ class Update:
     """
 
     k: int
-    factors: list  # [(task_tuple, kind, payload-arrays...)]
+    factors: list  # [(task, factors)] from the panel's FactorPanel reply
     cols: list[int] | None = None
 
 
@@ -170,36 +146,55 @@ class Collect:
 
 
 @dataclass
-class CollectEvents:
-    """Return any residual kernel events (traced/live runs only).
-
-    Events are ``(kind, k, row, row2, col, col_end, start, end)``
-    tuples (``col_end`` is ``-1`` for per-tile kernels) stamped with
-    the worker's ``perf_counter``.  Workers piggyback the buffer on
-    every reply (see ``reply``), so this end-of-run sweep normally
-    returns an empty list — it exists as a backstop for events recorded
-    after the last message's reply was built.  Under the fork start
-    method the clock is shared with the manager (CLOCK_MONOTONIC), so
-    timestamps merge directly; under spawn ``perf_counter`` epochs
-    differ per process, so the manager rebases each buffer with the
-    offset measured by :class:`ClockSync` at worker startup.
-    """
-
-
-@dataclass
 class ClockSync:
     """Reply with the worker's current ``perf_counter`` reading.
 
-    The manager brackets the round-trip with its own clock and takes
-    the midpoint as the exchange instant, yielding a manager-minus-
-    worker offset accurate to about half the pipe round-trip — plenty
-    for millisecond-scale kernel timelines.
+    Kernel events carry the worker's ``perf_counter``, whose epoch
+    differs per process under spawn (fork shares the manager's).  The
+    manager brackets this round-trip with its own clock and takes the
+    midpoint as the exchange instant: a manager-minus-worker offset
+    accurate to about half the pipe round-trip.
     """
 
 
 @dataclass
 class Shutdown:
     pass
+
+
+class _Columns:
+    """A worker's owned tile columns, ``{col: [tiles top..bottom]}``,
+    behind the four :class:`~repro.tiles.TiledMatrix` methods that
+    :func:`~repro.runtime.core_exec.apply_task` uses.  A one-column row
+    panel is the live tile; a wider one is a gathered copy that
+    :meth:`scatter_row_panel` writes back.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols: dict[int, list[np.ndarray]]):
+        self.cols = cols
+
+    def tile(self, i: int, j: int) -> np.ndarray:
+        return self.cols[j][i]
+
+    def set_tile(self, i: int, j: int, value: np.ndarray) -> None:
+        self.cols[j][i][...] = value
+
+    def row_panel(self, i: int, j0: int, j1: int) -> np.ndarray:
+        if j1 - j0 == 1:
+            return self.cols[j0][i]
+        return np.hstack([self.cols[j][i] for j in range(j0, j1)])
+
+    def scatter_row_panel(self, i: int, j0: int, j1: int, panel: np.ndarray) -> None:
+        if j1 - j0 == 1:
+            return  # the kernel updated the live tile
+        off = 0
+        for j in range(j0, j1):
+            tile = self.cols[j][i]
+            w = tile.shape[1]
+            tile[...] = panel[:, off : off + w]
+            off += w
 
 
 def _contiguous_runs(cols: list[int]) -> list[tuple[int, int]]:
@@ -213,162 +208,96 @@ def _contiguous_runs(cols: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-#: Factor-payload tag -> the (per-tile) kernel that applies it.
-_UPDATE_KERNEL = {"G": "unmqr", "TS": "tsmqr", "TT": "ttmqr"}
+#: Factorization kind -> the (per-tile, batched) kinds of its updates.
+_UPDATE_KINDS = {
+    TaskKind.GEQRT: (TaskKind.UNMQR, TaskKind.UNMQR_BATCH),
+    TaskKind.TSQRT: (TaskKind.TSMQR, TaskKind.TSMQR_BATCH),
+    TaskKind.TTQRT: (TaskKind.TTMQR, TaskKind.TTMQR_BATCH),
+}
 
-#: Factor-payload tag -> the factorization task that produced it.
-_FACTOR_TASK = {"G": TaskKind.GEQRT, "TS": TaskKind.TSQRT, "TT": TaskKind.TTQRT}
 
-#: Task kinds whose first written tile is an R tile — the targets of the
-#: per-panel residual probe in health-checked runs.
-_FACTOR_KINDS = (TaskKind.GEQRT, TaskKind.TSQRT, TaskKind.TTQRT)
+def _update_task(ft: Task, j0: int, j1: int | None = None) -> Task:
+    """The update applying factorization task ``ft``'s reflectors to
+    column ``j0`` (``j1=None``) or, batched, to columns ``[j0, j1)``."""
+    single, batch = _UPDATE_KINDS[ft.kind]
+    if j1 is None:
+        return Task(single, ft.k, ft.row, ft.row2, j0)
+    return Task(batch, ft.k, ft.row, ft.row2, j0, j1)
+
+
+def _strip_r(f: Factors) -> Factors:
+    """``f`` without its R tile, which stays with the column: ``r``
+    becomes a zero-width view that keeps the row count the update
+    kernels read."""
+    return replace(f, r=f.r[:, :0])
 
 
 def _worker_main(
-    conn,
-    grid_rows: int,
-    grid_cols: int,
-    trace: bool = False,
-    batch_updates: bool = False,
-    device_id: str = "worker",
-    fault_plan=None,
-    policy=None,
-    health: bool = False,
-    backend_name: str = "reference",
+    conn, trace: bool, batch_updates: bool, device_id: str, fault_plan, policy,
+    health: bool, backend_name: str,
 ) -> None:
-    """Worker process body: owns columns, executes kernels on demand.
+    """Worker process body: owns columns, runs DAG tasks on demand.
 
-    ``policy`` is the manager's effective retry policy (``None`` runs
-    kernels bare).
+    Tasks run through :func:`~repro.runtime.core_exec.apply_task`, or,
+    under ``policy`` (the manager's effective retry policy), through
+    :func:`~repro.runtime.core_exec.apply_task_resilient`.  With
+    ``trace`` every task is timed into ``(task, start, end)`` events.
     """
+    from ..observability.metrics import MetricsRegistry
+
     set_num_threads(1)  # one BLAS thread per worker process (spawn start method)
-    columns: dict[int, list[np.ndarray]] = {}
+    owned = _Columns({})
     events: list[tuple] = []
     workspace = Workspace()
     # Backends travel by *name* (registered in every process at import),
     # not by pickled object, so spawn and fork behave identically.
     kern = resolve_backend(backend_name)
-    stats = {"retries": 0, "faults_injected": 0, "workspace_fallbacks": 0}
+    metrics = MetricsRegistry()
+    sent: dict[str, float] = {}
     chaos = None
     if fault_plan is not None:
         from ..resilience import ChaosEngine
 
-        chaos = ChaosEngine(fault_plan, device=device_id)
+        chaos = ChaosEngine(fault_plan, metrics=metrics, device=device_id)
 
     def reply(status: str, payload) -> None:
-        stats["workspace_fallbacks"] += workspace.fallbacks
-        workspace.fallbacks = 0
-        delta = dict(stats)
-        for key in stats:
-            stats[key] = 0
-        if events:
-            # Piggyback buffered kernel events on every reply instead of
-            # holding them for the end-of-run CollectEvents: the manager
-            # folds them immediately, so a worker that later dies (kill,
-            # hang, crash) has already delivered everything up to its
-            # last reply — partial activity survives failover, and live
-            # telemetry sees kernels as each message completes.
-            delta["events"] = events[:]
-            events.clear()
-        conn.send((status, payload, delta))
+        # Counter deltas and buffered kernel events ride every reply, so
+        # a worker that later dies (kill, hang, crash) has already
+        # delivered everything up to its last reply — partial activity
+        # survives failover, and live telemetry sees kernels as each
+        # message completes.
+        drain_fallbacks(metrics, workspace)
+        counts = metrics.snapshot()["counters"]
+        deltas = {n: v - sent.get(n, 0.0) for n, v in counts.items() if v != sent.get(n, 0.0)}
+        sent.update(counts)
+        conn.send((status, payload, deltas, events[:]))
+        events.clear()
 
     # Per-column squared norms of the data this worker holds, maintained
     # on column arrival/departure — the reference magnitude for the
-    # per-panel residual probes (health checks only).
+    # per-panel residual probes (health checks only).  Orthogonal
+    # updates preserve it, so it stays valid mid-run.
     col_norm_sq: dict[int, float] = {}
 
     def note_columns(cols: dict) -> None:
-        if not health:
-            return
-        for j, tiles in cols.items():
-            col_norm_sq[j] = sum(float(np.linalg.norm(t)) ** 2 for t in tiles)
+        if health:
+            for j, tiles in cols.items():
+                col_norm_sq[j] = sum(float(np.linalg.norm(t)) ** 2 for t in tiles)
 
-    def run_kernel(task: Task, written_refs, fn):
-        """The worker-side retry envelope around one kernel call.
-
-        ``written_refs`` is a list of zero-arg callables returning the
-        *current* tiles the kernel writes (rebinding-safe); ``fn`` runs
-        the kernel and returns its result.  Mirrors
-        :func:`~repro.runtime.core_exec.apply_task_resilient`.
-        """
+    def run(task: Task, factors: dict) -> Factors | None:
+        start = perf_counter()
         if policy is None:
-            return fn()
-        from ..resilience import RETRYABLE
-        from ..resilience.health import check_task_outputs, panel_residual_probe
-
-        last = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                stats["retries"] += 1
-                import time as _t
-
-                pause = policy.backoff_seconds(attempt, key=task.sort_key())
-                if pause > 0.0:
-                    _t.sleep(pause)
-            written = [ref() for ref in written_refs]
-            snapshot = [w.copy() for w in written]
-            try:
-                stall = 0.0
-                if chaos is not None:
-                    fired_before = chaos.faults_injected
-                    inj0 = perf_counter()
-                    chaos.before_task(task, device_id)
-                    stall = perf_counter() - inj0
-                out = fn()
-                written = [ref() for ref in written_refs]
-                if chaos is not None:
-                    chaos.corrupt_outputs(task, written, device_id)
-                    stats["faults_injected"] += chaos.faults_injected - fired_before
-                    if trace and stall > 0.0 and events:
-                        # Fold an injected delay/hang into the task's
-                        # timed slot: the threaded runtime times around
-                        # the injection point, so the trace (and live
-                        # straggler detection) must see the slow task
-                        # here too.
-                        *key, t0, t1 = events[-1]
-                        events[-1] = (*key, t0 - stall, t1)
-                if health:
-                    check_task_outputs(task, written)
-                    if task.kind in _FACTOR_KINDS and col_norm_sq:
-                        # Residual probe against the norm of the columns
-                        # this worker holds (orthogonal updates preserve
-                        # it, so the reference stays valid mid-run).
-                        panel_residual_probe(
-                            written[0], sum(col_norm_sq.values()) ** 0.5, task.k
-                        )
-                return out
-            except RETRYABLE as exc:
-                if chaos is not None:
-                    stats["faults_injected"] += chaos.faults_injected - fired_before
-                # Restore *through the refs*: kernels may have rebound the
-                # column slot to a fresh array, and the live one is what
-                # the retry will read.
-                for ref, s in zip(written_refs, snapshot):
-                    ref()[...] = s
-                last = exc
-                if attempt == policy.max_attempts:
-                    raise
-        raise last  # pragma: no cover - unreachable
-
-    def timed(kind: str, k: int, row: int, row2: int, col: int, col_end: int = -1):
-        if not trace:
-            return _NULL_TIMER
-        return _EventTimer(events, kind, k, row, row2, col, col_end, perf_counter)
-
-    def gather(j0: int, j1: int, row: int) -> np.ndarray:
-        """Row panel over owned columns ``[j0, j1)`` (zero-copy if single)."""
-        if j1 - j0 == 1:
-            return columns[j0][row]
-        return np.hstack([columns[j][row] for j in range(j0, j1)])
-
-    def scatter(j0: int, j1: int, row: int, panel: np.ndarray) -> None:
-        if j1 - j0 == 1:
-            return  # kernel operated on the tile in place
-        off = 0
-        for j in range(j0, j1):
-            w = columns[j][row].shape[1]
-            columns[j][row][...] = panel[:, off : off + w]
-            off += w
+            produced = apply_task(task, owned, factors, workspace, backend=kern)
+        else:
+            produced = apply_task_resilient(
+                task, owned, factors, workspace,
+                policy=policy, backend=kern, chaos=chaos, health=health,
+                health_ref_norm=sum(col_norm_sq.values()) ** 0.5 if col_norm_sq else None,
+                metrics=metrics, device=device_id,
+            )
+        if trace:
+            events.append((task, start, perf_counter()))
+        return produced
 
     try:
         while True:
@@ -377,100 +306,47 @@ def _worker_main(
                 reply("ok", None)
                 return
             if isinstance(msg, LoadColumns):
-                columns.update(msg.columns)
+                owned.cols.update(msg.columns)
                 note_columns(msg.columns)
                 reply("ok", None)
             elif isinstance(msg, ClockSync):
                 reply("ok", perf_counter())
             elif isinstance(msg, ReceiveColumn):
-                columns[msg.col] = msg.tiles
+                owned.cols[msg.col] = msg.tiles
                 note_columns({msg.col: msg.tiles})
                 reply("ok", None)
             elif isinstance(msg, SendColumn):
                 col_norm_sq.pop(msg.col, None)
-                reply("ok", columns.pop(msg.col))
+                reply("ok", owned.cols.pop(msg.col))
             elif isinstance(msg, FactorPanel):
-                k = msg.k
-                col = columns[k]
-                out = []
-                for op in msg.ops:
-                    if op[0] == "G":
-                        row = op[1]
-
-                        def do_geqrt(row=row):
-                            with timed("GEQRT", k, row, row, k):
-                                fg = kern.geqrt(col[row])
-                            col[row] = fg.r.copy()
-                            return fg
-
-                        task = Task(TaskKind.GEQRT, k, row, row, k)
-                        fg = run_kernel(task, [lambda row=row: col[row]], do_geqrt)
-                        out.append((("G", k, row, row), fg.v, fg.tf, fg.taus))
-                    else:
-                        op_kind, bot, top = op
-                        tt = op_kind == "TT"
-
-                        def do_merge(bot=bot, top=top, tt=tt):
-                            with timed("TTQRT" if tt else "TSQRT", k, bot, top, k):
-                                fe = (kern.ttqrt if tt else kern.tsqrt)(
-                                    col[top], col[bot]
-                                )
-                            col[top] = fe.r.copy()
-                            col[bot][...] = 0.0
-                            return fe
-
-                        task = Task(
-                            TaskKind.TTQRT if tt else TaskKind.TSQRT, k, bot, top, k
-                        )
-                        fe = run_kernel(
-                            task,
-                            [lambda r=top: col[r], lambda r=bot: col[r]],
-                            do_merge,
-                        )
-                        out.append(((op_kind, k, bot, top), fe.v2, fe.tf, fe.taus))
-                reply("ok", (out, [t.copy() for t in col]))
+                factors: dict = {}
+                out = [(t, _strip_r(run(t, factors))) for t in msg.tasks]
+                reply("ok", (out, [t.copy() for t in owned.cols[msg.k]]))
             elif isinstance(msg, Update):
                 k = msg.k
                 if msg.cols is None:
-                    targets = sorted(j for j in columns if j > k)
+                    targets = sorted(j for j in owned.cols if j > k)
                 else:
                     # Preserve the manager's order: columns arrive sorted
                     # by critical-path rank (most critical first).
-                    targets = [j for j in msg.cols if j in columns and j > k]
-                runs = _contiguous_runs(sorted(targets))
-                if targets:
+                    targets = [j for j in msg.cols if j in owned.cols and j > k]
+                if batch_updates:
+                    # One wide panel per contiguous run of owned columns —
+                    # fewer, larger GEMMs (see docs/PERFORMANCE.md).
                     order = {j: n for n, j in enumerate(targets)}
-                    runs.sort(key=lambda r: min(order[j] for j in range(r[0], r[1])))
-                # Batched: one wide panel per contiguous run of owned
-                # columns — fewer, larger GEMMs (see docs/PERFORMANCE.md).
-                spans = runs if batch_updates else [(j, j + 1) for j in targets]
-                for (kind, kk, row, top), v, tf, taus in msg.factors:
-                    f = _factor_result(kind, v, tf, taus)
-                    name = _UPDATE_KERNEL[kind] + ("_batch" if batch_updates else "")
-                    fn, tkind = getattr(kern, name), TaskKind[name.upper()]
-                    rows = (row,) if kind == "G" else (top, row)
+                    spans = _contiguous_runs(sorted(targets))
+                    spans.sort(key=lambda r: min(order[j] for j in range(*r)))
+                else:
+                    spans = [(j, None) for j in targets]
+                # Factors live only for this message, so worker memory
+                # does not grow with the number of panels.
+                factors = {factor_key(t): f for t, f in msg.factors}
+                for ft, _f in msg.factors:
                     for j0, j1 in spans:
-                        end = j1 if batch_updates else -1
-
-                        def do_update(j0=j0, j1=j1, end=end, f=f, fn=fn, kk=kk,
-                                      row=row, top=top, rows=rows, label=tkind.name):
-                            panels = [gather(j0, j1, r) for r in rows]
-                            with timed(label, kk, row, top, j0, end):
-                                fn(f, *panels, workspace=workspace)
-                            for r, panel in zip(rows, panels):
-                                scatter(j0, j1, r, panel)
-
-                        refs = [
-                            (lambda j=j, r=r: columns[j][r])
-                            for j in range(j0, j1)
-                            for r in rows
-                        ]
-                        run_kernel(Task(tkind, kk, row, top, j0, end), refs, do_update)
+                        run(_update_task(ft, j0, j1), factors)
                 reply("ok", None)
             elif isinstance(msg, Collect):
-                reply("ok", columns)
-            elif isinstance(msg, CollectEvents):
-                reply("ok", events)
+                reply("ok", owned.cols)
             else:  # pragma: no cover - protocol guard
                 reply("error", f"unknown message {type(msg).__name__}")
                 return
@@ -491,11 +367,11 @@ class MultiprocessRuntime(Runtime):
     :class:`~repro.runtime.serial.RunOptions` fields, which behave here
     as follows:
 
-    * ``elimination`` — the manager computes each panel's op list from
-      the tree and ships it to the panel owner, so every registered tree
-      runs distributed;
-    * ``tracer`` / ``bus`` — workers buffer per-kernel events locally and
-      piggyback them on every reply; the manager merges them
+    * ``elimination`` — the manager takes each panel's factorization
+      tasks from the tree's DAG and ships them to the panel owner, so
+      every registered tree runs distributed;
+    * ``tracer`` / ``bus`` — workers time every task locally and
+      piggyback the events on every reply; the manager merges them
       (ClockSync-rebased) under each worker's device id, records column
       migrations and factor broadcasts as transfers with their real
       pickled byte counts, and publishes a per-device ``heartbeat`` per
@@ -503,12 +379,14 @@ class MultiprocessRuntime(Runtime):
       is sliced so a silent worker raises ``heartbeat.missed`` before
       the deadline failover fires;
     * ``retry_policy`` / ``chaos`` / ``health_checks`` — any of them
-      enables the fault-tolerant path: workers retry kernels, and the
-      manager classifies pipe EOF / persistent failure / missed reply
-      deadlines as device death and fails over (see module docstring).
-      ``policy.deadline`` is the per-kernel budget, scaled by each
-      message's kernel count.  ``chaos`` ships its fault plan to every
-      worker (specs select workers via their ``device`` field);
+      enables the fault-tolerant path: workers run every task through
+      the shared retry envelope, which enforces ``policy.deadline`` per
+      kernel, and the manager classifies pipe EOF / persistent failure /
+      missed reply deadlines as device death and fails over (see module
+      docstring).  The reply deadline is ``policy.deadline`` scaled by
+      the message's kernel count, so a worker that never replies is
+      still caught.  ``chaos`` ships its fault plan to every worker
+      (specs select workers via their ``device`` field);
     * ``checkpoint_every`` counts *panels* (panel-aligned snapshots);
     * ``backend`` travels by name and is resolved in every worker, so it
       must be registered at import time; the failover replay uses it
@@ -540,7 +418,6 @@ class MultiprocessRuntime(Runtime):
             k0, log0 = 0, []
         b = tiled.tile_size
         p, q = tiled.grid_rows, tiled.grid_cols
-        tree = resolve_tree(opts.elimination)
 
         # Critical-path column priorities (see docs/PERFORMANCE.md):
         # rank each trailing column of each panel by the highest
@@ -549,18 +426,17 @@ class MultiprocessRuntime(Runtime):
         from ..dag import build_dag
         from ..dag.analysis import bottom_level_ranks, task_weight_model
 
-        ref_dag = build_dag(p, q, tree, batch_updates=False)
+        ref_dag = build_dag(p, q, opts.elimination, batch_updates=False)
         col_rank: dict[tuple[int, int], float] = {}
         for t, r in bottom_level_ranks(ref_dag, task_weight_model(b)).items():
             key = (t.k, t.col)
             if r > col_rank.get(key, -1.0):
                 col_rank[key] = r
-
-        def panel_ops(k: int) -> list:
-            ops: list = [("G", i) for i in tree.geqrt_rows(k, p)]
-            merge = "TT" if tree.uses_tt else "TS"
-            ops += [(merge, bot, top) for bot, top in tree.pairs(k, p)]
-            return ops
+        # Each panel's factorization tasks in tree (emission) order.
+        factor_tasks: dict[int, list[Task]] = {}
+        for t in ref_dag.tasks:
+            if factor_key(t) is not None:
+                factor_tasks.setdefault(t.k, []).append(t)
 
         tracer = opts.active_tracer
         metrics = opts.metrics
@@ -587,8 +463,7 @@ class MultiprocessRuntime(Runtime):
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    child, p, q, tracer is not None or bus is not None,
-                    opts.batch_updates,
+                    child, tracer is not None or bus is not None, opts.batch_updates,
                     dev, opts.fault_plan, policy, opts.health_checks, backend.name,
                 ),
                 daemon=True,
@@ -614,34 +489,19 @@ class MultiprocessRuntime(Runtime):
         def alive() -> list[str]:
             return [d for d in self.plan.participants if d not in dead]
 
-        def fold_events(dev: str, evts) -> None:
-            """Merge one worker's kernel-event batch (ClockSync-rebased)."""
+        def fold_reply(dev: str, deltas: dict, evts: list) -> None:
+            """Add one reply's counter deltas and merge its kernel events
+            (ClockSync-rebased) under the worker's device id."""
+            if metrics is not None:
+                for name, n in deltas.items():
+                    metrics.counter(name).inc(n)
             off = clock_offset.get(dev, 0.0)
-            for kind, kk, row, row2, col, col_end, start, end in evts:
-                task = Task(TaskKind[kind], kk, row, row2, col, col_end)
+            for task, start, end in evts:
+                start, end = start + off, end + off
                 if tracer is not None:
-                    tracer.record_task(
-                        task, device=dev, start=start + off, end=end + off,
-                        tile_size=b,
-                    )
+                    tracer.record_task(task, dev, start, end, tile_size=b)
                 if bus is not None:
-                    bus.task_finish(task, dev, start=start + off, end=end + off)
-
-        def fold_stats(dev: str, delta: dict) -> None:
-            if not delta:
-                return
-            evts = delta.pop("events", None)
-            if evts:
-                fold_events(dev, evts)
-            if metrics is None:
-                return
-            for name, n in delta.items():
-                if not n:
-                    continue
-                if name == "workspace_fallbacks":
-                    metrics.counter("kernel.workspace.fallbacks").inc(n)
-                else:
-                    metrics.counter(f"resilience.{name}").inc(n)
+                    bus.task_finish(task, dev, start=start, end=end)
 
         def ask(dev: str, msg, xfer=None, n_kernels: int = 1):
             """Round-trip one message; ``xfer=(src, bytes, tag)`` records
@@ -671,41 +531,25 @@ class MultiprocessRuntime(Runtime):
                 if policy is not None and policy.deadline is not None:
                     budget = policy.deadline * max(1, n_kernels) + 1.0
                     hb = bus.heartbeat_interval if bus is not None else None
-                    got = True
-                    if hb is not None and hb < budget:
-                        waited = 0.0
-                        got = False
-                        while waited < budget:
-                            step = min(hb, budget - waited)
-                            if conn.poll(step):
-                                got = True
-                                break
-                            waited += step
-                            if waited < budget:
-                                bus.publish(
-                                    "heartbeat.missed",
-                                    dev,
-                                    {
-                                        "silent_seconds": waited,
-                                        "budget": budget,
-                                        "message": type(msg).__name__,
-                                    },
-                                )
-                    else:
-                        got = conn.poll(budget)
-                    if not got:
-                        if metrics is not None:
-                            metrics.counter("resilience.timeouts").inc()
-                        raise _WorkerDied(
-                            dev, f"no reply within {budget:.1f}s (hung?)"
-                        )
-                status, payload, stats = conn.recv()
+                    step = hb if hb is not None and hb < budget else budget
+                    waited = 0.0
+                    while not conn.poll(min(step, budget - waited)):
+                        waited += min(step, budget - waited)
+                        if waited >= budget:
+                            if metrics is not None:
+                                metrics.counter("resilience.timeouts").inc()
+                            raise _WorkerDied(dev, f"no reply within {budget:.1f}s (hung?)")
+                        bus.publish("heartbeat.missed", dev, {
+                            "silent_seconds": waited, "budget": budget,
+                            "message": type(msg).__name__,
+                        })
+                status, payload, deltas, evts = conn.recv()
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
                 err = _WorkerDied(dev, f"pipe closed ({type(exc).__name__})")
                 if resilient:
                     raise err from None
                 raise SimulationError(str(err)) from None
-            fold_stats(dev, stats)
+            fold_reply(dev, deltas, evts)
             if bus is not None:
                 bus.publish("heartbeat", dev, {"message": type(msg).__name__})
             if status != "ok":
@@ -729,23 +573,17 @@ class MultiprocessRuntime(Runtime):
         def replay_column(j: int) -> list[np.ndarray]:
             """Reconstruct trailing column ``j`` manager-side.
 
-            Replays the logged per-tile update kernels for panels
-            ``base_level[j]+1 .. applied[j]`` against the pristine base
-            column — the same kernels in the same order a per-tile
-            worker would have run, so the rebuilt column is
-            bit-identical to the lost one (see docs/RELIABILITY.md for
-            the batched-update caveat).
+            Replays panels ``base_level[j]+1 .. applied[j]`` as per-tile
+            update tasks through :func:`apply_task` against the pristine
+            base column — the tasks a per-tile worker runs, in the same
+            order, so the rebuilt column is bit-identical to the lost one.
             """
-            col = [t.copy() for t in base[j]]
+            col = _Columns({j: [t.copy() for t in base[j]]})
             for kk in range(base_level[j] + 1, applied[j] + 1):
-                for (kind, _kp, row, top), v, tf, taus in panel_factors[kk]:
-                    f = _factor_result(kind, v, tf, taus)
-                    if kind == "G":
-                        backend.unmqr(f, col[row])
-                    else:
-                        fn = backend.ttmqr if kind == "TT" else backend.tsmqr
-                        fn(f, col[top], col[row])
-            return col
+                factors = {factor_key(t): f for t, f in panel_factors[kk]}
+                for ft, _f in panel_factors[kk]:
+                    apply_task(_update_task(ft, j), col, factors, backend=backend)
+            return col.cols[j]
 
         def recover_column(j: int) -> list[np.ndarray]:
             if panel_done.get(j):
@@ -872,18 +710,19 @@ class MultiprocessRuntime(Runtime):
                     )
                 col_home[k] = owner_p
             if not panel_done.get(k):
-                ops = panel_ops(k)
+                tasks = factor_tasks[k]
                 factors, r_col = ask(
-                    owner_p, FactorPanel(k=k, ops=ops), n_kernels=max(1, len(ops))
+                    owner_p, FactorPanel(k=k, tasks=tasks), n_kernels=len(tasks)
                 )
                 panel_factors[k] = factors
                 shadow_r[k] = r_col
                 panel_done[k] = True
-                for (kind, kk, row, top), *arrays in factors:
-                    task = Task(_FACTOR_TASK[kind], kk, row, top, kk)
-                    log.append((task, _factor_result(kind, *arrays)))
+                log.extend(factors)
             factors = panel_factors[k]
-            bcast_bytes = float(sum(x.nbytes for f in factors for x in f[1:]))
+            bcast_bytes = float(sum(
+                x.nbytes for _t, f in factors for x in vars(f).values()
+                if isinstance(x, np.ndarray)
+            ))
 
             def crit(j: int) -> float:
                 return col_rank.get((k, j), 0.0)
@@ -919,8 +758,8 @@ class MultiprocessRuntime(Runtime):
             A device that dies mid-gather has its columns rebuilt
             manager-side at their last applied watermark, which a panel
             boundary makes exact (mid-run, the stranded columns re-home
-            at the next panel).  The ``final`` gather also sweeps
-            residual worker events and shuts the workers down.
+            at the next panel).  The ``final`` gather also shuts the
+            workers down.
             """
             gathered: set[int] = set()
             for dev in list(alive()):
@@ -930,11 +769,6 @@ class MultiprocessRuntime(Runtime):
                             tiled.set_tile(i, j, tiles[i])
                         gathered.add(j)
                     if final:
-                        if tracer is not None or bus is not None:
-                            # Normally empty: events ride each reply's
-                            # stats delta and are folded there; this
-                            # sweeps any recorded after the last reply.
-                            fold_events(dev, ask(dev, CollectEvents()))
                         ask(dev, Shutdown())
                 except _WorkerDied as exc:
                     note_death(exc.device, k, f"died {when}: {exc.reason}")
@@ -1003,7 +837,7 @@ class MultiprocessRuntime(Runtime):
                     done = [t for t in ref_dag.tasks if t.k <= k]
                     ckpt.write(done, log, device="manager")
 
-            # --- gather the R factor (and any residual worker events) ----
+            # --- gather the R factor -------------------------------------
             gather(n_panels, "at gather", final=True)
         finally:
             for parent, proc in workers.values():
@@ -1051,16 +885,3 @@ class MultiprocessRuntime(Runtime):
                 "resume this one with the serial or threaded runtime"
             )
         return tiled, done_panels, list(resume.log)
-
-
-def _factor_result(kind: str, v, tf, taus):
-    """Rebuild a kernel result from one ``(v, tf, taus)`` factor payload;
-    ``kind`` is the payload's ``"G"``/``"TS"``/``"TT"`` tag and ``r`` is a
-    placeholder (the R tile stays with the column)."""
-    from ..kernels.geqrt import GEQRTResult
-    from ..kernels.tsqrt import TSQRTResult
-
-    if kind == "G":
-        return GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)
-    b = v.shape[1]
-    return TSQRTResult(r=np.empty((b, b)), v2=v, tf=tf, taus=taus, kind=kind)

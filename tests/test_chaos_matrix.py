@@ -91,7 +91,9 @@ def test_threaded_survives(name, matrix, clean_r):
     _check(fact, matrix, clean_r, name, masked=True)
 
 
-@pytest.mark.parametrize("name", ["exception", "corrupt_nan", "kill_worker"])
+@pytest.mark.parametrize(
+    "name", ["exception", "hang", "corrupt_nan", "corrupt_inf", "kill_worker"]
+)
 def test_multiprocess_survives(name, matrix, clean_r, optimizer):
     dist = optimizer.plan(matrix_size=N, num_devices=3)
     if name == "kill_worker":
@@ -108,7 +110,7 @@ def test_multiprocess_survives(name, matrix, clean_r, optimizer):
     fact = MultiprocessRuntime(
         dist,
         tracer=tracer,
-        retry_policy=RetryPolicy(max_attempts=3, backoff=0.0, jitter=0.0),
+        retry_policy=_policy(name),
         chaos=plan,
         health_checks=needs_health,
         metrics=metrics,
@@ -121,6 +123,9 @@ def test_multiprocess_survives(name, matrix, clean_r, optimizer):
     else:
         assert counters["resilience.faults_injected"] >= 1
         assert counters["resilience.retries"] >= 1
+    if name == "hang":
+        # Workers enforce the per-kernel deadline themselves.
+        assert counters["resilience.timeouts"] >= 1
     # Failover replays per-tile kernels against pristine column copies,
     # so even the worker-kill path reproduces R bit-for-bit.
     _check(fact, matrix, clean_r, name, masked=True)

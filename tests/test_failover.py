@@ -140,3 +140,20 @@ def test_hung_worker_is_detected_and_failed_over(matrix, clean_r, optimizer):
     assert counters["resilience.timeouts"] >= 1
     assert counters["resilience.worker_deaths"] == 1
     assert np.array_equal(fact.r_dense(), clean_r)
+
+
+def test_batched_workers_fail_over_bit_identically(matrix, optimizer):
+    """Batched-update workers fail over too: a non-main worker killed at
+    panel 1 leaves R bit-identical to the clean batched run."""
+    dist = optimizer.plan(matrix_size=N, num_devices=3)
+    victim = next(d for d in dist.participants if d != dist.main_device)
+    clean = MultiprocessRuntime(dist, batch_updates=True).factorize(matrix.copy(), B)
+    plan = FaultPlan(specs=(
+        FaultSpec(FaultKind.KILL_WORKER, task_kind="TSMQR_BATCH", k=1, device=victim),
+    ))
+    metrics = MetricsRegistry()
+    fact = MultiprocessRuntime(
+        dist, batch_updates=True, retry_policy=POLICY, chaos=plan, metrics=metrics
+    ).factorize(matrix.copy(), B)
+    assert metrics.snapshot()["counters"]["resilience.worker_deaths"] == 1
+    assert np.array_equal(fact.r_dense(), clean.r_dense())

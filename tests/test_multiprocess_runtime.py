@@ -1,9 +1,15 @@
 """Tests for the distributed-memory (multi-process) runtime."""
 
+import multiprocessing
+from collections import Counter
+from time import perf_counter
+
 import numpy as np
 import pytest
 
+from repro.dag import build_dag
 from repro.errors import ShapeError
+from repro.observability import Tracer
 from repro.runtime import tiled_qr
 from repro.runtime.multiprocess import MultiprocessRuntime
 
@@ -50,3 +56,21 @@ class TestMultiprocessRuntime:
             rt.factorize(np.zeros(5))
         with pytest.raises(ShapeError):
             rt.factorize(rng.standard_normal((16, 32)))
+
+    def test_spawn_start_method(self, rng, optimizer, monkeypatch):
+        """Spawn is the only start method on macOS and Windows: every
+        message must pickle, and the ClockSync offsets must place worker
+        events on the manager's clock."""
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        a = rng.standard_normal((96, 96))
+        plan = optimizer.plan(matrix_size=96, num_devices=2)
+        assert len(plan.participants) == 2
+        tracer = Tracer()
+        t0 = perf_counter()
+        f = MultiprocessRuntime(plan, tracer=tracer).factorize(a.copy(), 16)
+        t1 = perf_counter()
+        assert np.array_equal(f.r_dense(), tiled_qr(a, 16).r_dense())
+        records = tracer.task_records()  # raw manager-clock timestamps
+        assert Counter(r.task for r in records) == Counter(build_dag(6, 6, "TS").tasks)
+        assert {r.device_id for r in records} == set(plan.participants)
+        assert all(t0 <= r.start <= r.end <= t1 for r in records)
