@@ -1,8 +1,9 @@
 """Extension — autotune a device model for *this* host (Song et al. [7]).
 
-Profiles the real NumPy tile kernels across tile sizes, fits the
-``overhead + flops/rate`` model with the library's own least-squares
-path, and reports fit quality plus the tuned tile size the fitted model
+Profiles the real NumPy tile kernels across tile sizes (per-call means
+from traced serial runs, folded into a ``ProfileStore``), fits the
+``overhead + flops/rate`` model with ``ProfileStore.to_timing_model``,
+and reports fit quality plus the tuned tile size the fitted model
 implies for this machine.
 """
 
@@ -20,9 +21,8 @@ from .common import ExperimentResult
 
 def run(quick: bool = False) -> ExperimentResult:
     sizes = [8, 16, 32] if quick else [8, 16, 24, 32, 48, 64]
-    repeats = 5 if quick else 9
-    meas = measure_host_kernels(sizes, repeats=repeats)
-    host = autotune_host_device(tile_sizes=sizes, repeats=repeats)
+    meas = measure_host_kernels(sizes).step_measurements("serial")
+    host = autotune_host_device(tile_sizes=sizes)
     rows = []
     worst_rel = 0.0
     for step in Step:

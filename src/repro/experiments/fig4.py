@@ -4,54 +4,24 @@ Reports three things side by side for every device and tile size:
 
 * the calibrated device model's time (what every other experiment uses),
 * the paper's digitized Fig. 4 value (approximate),
-* the *real measured* NumPy kernel time on this host — the actual
-  from-scratch kernels timed with ``time.perf_counter`` — demonstrating
+* the *real measured* NumPy kernel time on this host — per-call means
+  of the from-scratch kernels in a traced serial factorization
+  (:func:`repro.devices.autotune.measure_host_kernels`) — demonstrating
   that the kernel-cost *shape* (T > E > UT/UE, cubic growth) is a
   property of the algorithm, not of the model.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from ..dag.tasks import Step
+from ..devices.autotune import measure_host_kernels
 from ..devices.calibration import (
     fig4_reference_points,
     paper_cpu_i7_3820,
     paper_gtx580,
     paper_gtx680,
 )
-from ..kernels import geqrt, tsqrt, tsmqr, unmqr
 from .common import ExperimentResult
-
-
-def _measure_host_kernels(tile_sizes: list[int], repeats: int = 5) -> dict[str, list[float]]:
-    """Median wall time (us) of the real NumPy kernels on this host."""
-    rng = np.random.default_rng(0)
-    out = {"T": [], "E": [], "UT": [], "UE": []}
-    for b in tile_sizes:
-        a = rng.standard_normal((b, b))
-        r1 = np.triu(rng.standard_normal((b, b)))
-        a2 = rng.standard_normal((b, b))
-        c = rng.standard_normal((b, b))
-        f = geqrt(a)
-        fe = tsqrt(r1, a2)
-
-        def timed(fn, *args):
-            samples = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                fn(*args)
-                samples.append(time.perf_counter() - t0)
-            return sorted(samples)[len(samples) // 2] * 1e6
-
-        out["T"].append(timed(lambda: geqrt(a)))
-        out["E"].append(timed(lambda: tsqrt(r1, a2)))
-        out["UT"].append(timed(lambda: unmqr(f, c.copy())))
-        out["UE"].append(timed(lambda: tsmqr(fe, c.copy(), c.copy())))
-    return out
 
 
 def run(quick: bool = False) -> ExperimentResult:
@@ -62,10 +32,10 @@ def run(quick: bool = False) -> ExperimentResult:
         "cpu": paper_cpu_i7_3820(),
     }
     ref = fig4_reference_points()
-    host = _measure_host_kernels(tile_sizes)
+    host = measure_host_kernels(tile_sizes).step_measurements("serial")
     rows = []
     for dev_key, dev in devices.items():
-        for i, b in enumerate(tile_sizes):
+        for b in tile_sizes:
             ref_idx = ref[dev_key]["tile_sizes"].index(float(b)) if float(b) in ref[dev_key]["tile_sizes"] else None
             rows.append(
                 [
@@ -78,8 +48,8 @@ def run(quick: bool = False) -> ExperimentResult:
                     ref[dev_key]["T"][ref_idx] if ref_idx is not None else float("nan"),
                     ref[dev_key]["E"][ref_idx] if ref_idx is not None else float("nan"),
                     ref[dev_key]["U"][ref_idx] if ref_idx is not None else float("nan"),
-                    host["T"][i],
-                    host["UE"][i],
+                    host[Step.T][b] * 1e6,
+                    host[Step.UE][b] * 1e6,
                 ]
             )
     # Shape assertions the paper's Fig. 4 carries:

@@ -12,10 +12,6 @@ Shipped backends
 ``reference``
     The pure-NumPy kernels of :mod:`repro.kernels` — the conformance
     oracle every other backend is checked against.
-``blocked``
-    Same factorization kernels as ``reference`` (bit-identical R), with
-    the update GEMMs chunked into cache-sized column slabs for large
-    tiles / wide panels (see :mod:`repro.kernels.backends.blocked`).
 ``numba``
     Jitted factorization loops (:mod:`repro.kernels.backends.numba_backend`).
     Registered only when numba imports; absence is a silent no-op, so
@@ -212,11 +208,9 @@ def backend_info() -> list[dict]:
 # -- shipped backends -------------------------------------------------------
 
 from .reference import REFERENCE_BACKEND  # noqa: E402
-from .blocked import BLOCKED_BACKEND  # noqa: E402
 from .numba_backend import HAVE_NUMBA, make_numba_backend  # noqa: E402
 
 register_backend(REFERENCE_BACKEND)
-register_backend(BLOCKED_BACKEND)
 
 #: The numba backend instance, or ``None`` when numba is absent — the
 #: graceful-degradation contract: importing this package never fails for
@@ -237,7 +231,6 @@ __all__ = [
     "resolve_backend",
     "backend_info",
     "REFERENCE_BACKEND",
-    "BLOCKED_BACKEND",
     "NUMBA_BACKEND",
     "HAVE_NUMBA",
 ]

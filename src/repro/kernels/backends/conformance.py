@@ -282,6 +282,20 @@ def check_kernels(backend, reference, tile_sizes=DEFAULT_TILE_SIZES,
                 fn(fe, g1, g2, workspace=ws)
                 ref_fn(fe, w1, w2)
                 _compare(cases, backend.name, kname, cfg, [(g1, w1), (g2, w2)], tol)
+
+    # Underflowing column: its sum of squares falls below LAPACK's safe
+    # minimum, so the reflector needs dlarfg's rescale.  Q must also stay
+    # orthogonal, which checks the reference against more than itself.
+    col = 2.2e-161
+    for kname, fn, ref_fn, args in (
+        ("GEQRT", backend.geqrt, reference.geqrt, (np.array([[0.0, 1.0], [col, 1.0]]),)),
+        ("TSQRT", backend.tsqrt, reference.tsqrt,
+         (np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[col, 1.0]]))),
+    ):
+        got = fn(*args)
+        q = got.q_dense()
+        pairs = _factor_pairs(got, ref_fn(*args)) + [(q.T @ q, np.eye(len(q)))]
+        _compare(cases, backend.name, kname, f"underflow {col:g} float64", pairs, 1e-12)
     return cases
 
 
@@ -337,7 +351,9 @@ def run_conformance(
 
     reference = get_backend(DEFAULT_BACKEND)
     names = list(backends) if backends is not None else list(available_backends())
-    report = ConformanceReport(backends=names)
+    report = ConformanceReport(
+        backends=[n if isinstance(n, str) else n.name for n in names]
+    )
     for name in names:
         backend = get_backend(name) if isinstance(name, str) else name
         report.cases.extend(

@@ -11,13 +11,15 @@ Graceful degradation contract: when numba is not importable,
 :func:`make_numba_backend` returns ``None`` and nothing is registered —
 importing the package never fails for lack of the optional compiler.
 The ``@_njit`` decorator then degrades to identity, which keeps every
-kernel body executable as pure Python: the conformance tests exercise
-the exact loops that would be compiled, so a numba-less CI leg still
+kernel body executable as pure Python: :func:`loops_backend` assembles
+the same kernel set either way, and ``tests/test_numba_loops.py`` runs
+it through the conformance harness, so a numba-less CI leg still
 validates the backend's *algorithm* (the with-numba leg validates the
 compiled artifact).
 
 Numerics: the loops mirror the LAPACK ``larfg`` convention of
-:func:`repro.kernels.householder.make_reflector` exactly, but accumulate
+:func:`repro.kernels.householder.make_reflector` exactly (including its
+rescale of underflowing columns), but accumulate
 dot products sequentially where NumPy uses (possibly pairwise/SIMD) BLAS
 reductions.  Results therefore agree with the reference to rounding
 (``~1e-15`` relative; the conformance bound is ``1e-12``) but not
@@ -61,6 +63,32 @@ def _njit(fn):
 # -- jitted (or pure-Python) kernel bodies ----------------------------------
 # float64 only, plain loops and math.* — the numba-supported subset.
 
+#: LAPACK's safe minimum / eps for float64, as in ``make_reflector``.
+_SAFMIN = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+
+
+@_njit
+def _underflow_scale(alpha, col, j, i0, i1, sigma):
+    """``(scale, sigma)`` for the reflector of ``[alpha; col[i0:i1, j]]``.
+
+    When the plain sum of squares ``sigma`` fell below ``_SAFMIN`` it lost
+    digits to underflow; as LAPACK's ``dlarfg`` does, the vector is then
+    rescaled to ``max|x| = 1`` and ``sigma`` recomputed.  Otherwise the
+    scale is 1 and ``sigma`` passes through.
+    """
+    if sigma >= _SAFMIN:
+        return 1.0, sigma
+    scale = abs(alpha)
+    for i in range(i0, i1):
+        scale = max(scale, abs(col[i, j]))
+    if scale == 0.0:
+        return 1.0, sigma
+    sigma = 0.0
+    for i in range(i0, i1):
+        x = col[i, j] / scale
+        sigma += x * x
+    return scale, sigma
+
 
 @_njit
 def _geqrt_loop(r, v, taus):
@@ -68,7 +96,7 @@ def _geqrt_loop(r, v, taus):
 
     Mirrors ``_factor_panel`` + ``make_reflector`` (larfg convention:
     ``beta = -copysign(||x||, x0)``, ``v[0] = 1``,
-    ``tau = (beta - x0)/beta``).
+    ``tau = (beta - x0)/beta``, underflow rescale).
     """
     m, n = r.shape
     for k in range(n):
@@ -80,18 +108,20 @@ def _geqrt_loop(r, v, taus):
         sigma = 0.0
         for i in range(k + 1, m):
             sigma += r[i, k] * r[i, k]
+        scale, sigma = _underflow_scale(alpha, r, k, k + 1, m, sigma)
         v[k, k] = 1.0
         if sigma == 0.0:
             taus[k] = 0.0
             continue
-        norm_x = math.hypot(alpha, math.sqrt(sigma))
-        beta = -norm_x if alpha >= 0.0 else norm_x
-        denom = alpha - beta
+        head = alpha / scale
+        norm_x = math.hypot(head, math.sqrt(sigma))
+        beta = -norm_x if head >= 0.0 else norm_x
+        denom = head - beta
         for i in range(k + 1, m):
-            v[i, k] = r[i, k] / denom
-        tau = (beta - alpha) / beta
+            v[i, k] = r[i, k] / scale / denom
+        tau = (beta - head) / beta
         taus[k] = tau
-        r[k, k] = beta
+        r[k, k] = beta * scale
         for i in range(k + 1, m):
             r[i, k] = 0.0
         for j in range(k + 1, n):
@@ -139,20 +169,22 @@ def _tsqrt_loop(r, bot, v2, taus, triangular_bottom):
         sigma = 0.0
         for i in range(rows):
             sigma += bot[i, k] * bot[i, k]
+        scale, sigma = _underflow_scale(alpha, bot, k, 0, rows, sigma)
         if sigma == 0.0:
             taus[k] = 0.0
             for i in range(rows):
                 bot[i, k] = 0.0
             continue
-        norm_x = math.hypot(alpha, math.sqrt(sigma))
-        beta = -norm_x if alpha >= 0.0 else norm_x
-        denom = alpha - beta
-        tau = (beta - alpha) / beta
+        head = alpha / scale
+        norm_x = math.hypot(head, math.sqrt(sigma))
+        beta = -norm_x if head >= 0.0 else norm_x
+        denom = head - beta
+        tau = (beta - head) / beta
         taus[k] = tau
         for i in range(rows):
-            v2[i, k] = bot[i, k] / denom
+            v2[i, k] = bot[i, k] / scale / denom
             bot[i, k] = 0.0
-        r[k, k] = beta
+        r[k, k] = beta * scale
         for j in range(k + 1, b):
             w = r[k, j]
             for i in range(rows):
@@ -265,13 +297,17 @@ def ttqrt_numba(r1: np.ndarray, r2: np.ndarray) -> TSQRTResult:
     return _stacked_numba(r1, r2, triangular_bottom=True)
 
 
-def make_numba_backend():
-    """The ``numba`` backend, or ``None`` when numba is not importable."""
-    if not HAVE_NUMBA:
-        return None
-    from . import FunctionBackend  # pragma: no cover - requires numba
+def loops_backend():
+    """This module's kernel set as a backend, whether or not numba imports.
 
-    return FunctionBackend(  # pragma: no cover - requires numba
+    The factorization loops are jitted when numba is present and run as
+    pure Python otherwise (``compiled`` says which); updates are the
+    reference BLAS kernels.  Tests run it through the conformance harness
+    on both CI legs.
+    """
+    from . import FunctionBackend
+
+    return FunctionBackend(
         name="numba",
         description="numba-jitted factorization loops; BLAS updates",
         geqrt=geqrt_numba,
@@ -283,6 +319,11 @@ def make_numba_backend():
         unmqr_batch=_ref_unmqr_batch,
         tsmqr_batch=_ref_tsmqr_batch,
         ttmqr_batch=_ref_ttmqr_batch,
-        compiled=True,
+        compiled=HAVE_NUMBA,
         bit_exact=False,
     )
+
+
+def make_numba_backend():
+    """The ``numba`` backend, or ``None`` when numba is not importable."""
+    return loops_backend() if HAVE_NUMBA else None

@@ -191,22 +191,9 @@ def _entry_key(
 
 
 def _split_key(key: str) -> tuple[str, str, int, str]:
-    """Parse an entry key; legacy 3-part keys imply ``reference``.
-
-    New keys are ``device|kind|b|backend``; stores written before the
-    backend axis carry ``device|kind|b``.  The tile-size slot is the
-    discriminator: it is an integer exactly when the key has a backend
-    suffix (backend names never parse as integers — they are registered
-    identifiers)."""
-    parts = key.rsplit("|", 3)
-    if len(parts) == 4:
-        device, kind, b, backend = parts
-        try:
-            return device, kind, int(b), backend
-        except ValueError:
-            pass
-    device, kind, b = key.rsplit("|", 2)
-    return device, kind, int(b), "reference"
+    """Parse a ``device|kind|b|backend`` entry key."""
+    device, kind, b, backend = key.rsplit("|", 3)
+    return device, kind, int(b), backend
 
 
 class ProfileStore:
@@ -568,8 +555,8 @@ class ProfileStore:
         """Mean per-call seconds per paper step and tile size.
 
         Kinds sharing a step (``TSQRT``/``TTQRT`` -> E) pool their time
-        and call counts.  The shape matches
-        :func:`repro.devices.autotune.fit_timing_model` input.
+        and call counts; these are the points :meth:`to_timing_model`
+        fits.
         """
         acc: dict[Step, dict[int, tuple[float, int]]] = {s: {} for s in Step}
         # Pool over backends: one (dev, kind, b) visit regardless of how
@@ -595,9 +582,9 @@ class ProfileStore:
     def _fit_step(step: Step, points: dict[int, float]) -> tuple[float, float]:
         """Fit ``t = overhead + flops/rate`` to measured per-call times.
 
-        Mirrors :func:`repro.devices.autotune.fit_timing_model`'s
-        relative-error weighting; a single measured tile size yields the
-        exact rate-only model (overhead 0) for that size.
+        Rows are weighted by relative error, so microsecond and
+        millisecond points count equally; a single measured tile size
+        yields the exact rate-only model (overhead 0) for that size.
         """
         bs = sorted(points)
         flops = [STEP_FLOPS[step](b) for b in bs]

@@ -17,6 +17,10 @@ Four layers, mirroring the contract in ``docs/KERNELS.md``:
 Backend *selection* (profile-driven, audited) is covered at the end:
 :func:`select_kernel_backends` fallback and measured-choice paths, and
 the ``kernel_backend`` stage landing in ``Optimizer.plan`` audits.
+
+Every test here runs with a registered ``reference`` clone
+(``STAND_IN_BACKEND``, see ``tests/conftest.py``), so the non-reference
+paths run even when only ``reference`` ships.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from repro.kernels import Workspace
 from repro.kernels.backends import (
     DEFAULT_BACKEND,
     HAVE_NUMBA,
-    KERNEL_NAMES,
     NUMBA_BACKEND,
-    FunctionBackend,
     available_backends,
     backend_info,
     get_backend,
@@ -55,6 +57,7 @@ from repro.observability.decisions import STAGE_BACKEND, DecisionAudit, explain_
 from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.serial import SerialRuntime
 from repro.runtime.threaded import ThreadedRuntime
+from tests.conftest import STAND_IN_BACKEND, clone_reference
 from tests.strategies import (
     DTYPES,
     batch_widths,
@@ -66,21 +69,16 @@ from tests.strategies import (
 )
 from tests.test_profile_perf import small_trace
 
+pytestmark = pytest.mark.usefixtures("stand_in_backend")
+
 REFERENCE = get_backend(DEFAULT_BACKEND)
 
-#: Every registered backend; the non-reference ones get the
-#: differential treatment (reference vs itself is a tautology).
-ALL_BACKENDS = list(available_backends())
+#: Every shipped backend plus the stand-in; the non-reference ones get
+#: the differential treatment (reference vs itself is a tautology).
+ALL_BACKENDS = [*available_backends(), STAND_IN_BACKEND]
 OTHER_BACKENDS = [n for n in ALL_BACKENDS if n != DEFAULT_BACKEND]
 
 dtypes_st = st.sampled_from(DTYPES)
-
-
-def _clone_reference(name: str, **overrides) -> FunctionBackend:
-    """A valid throwaway backend delegating to the reference kernels."""
-    kwargs = {k: getattr(REFERENCE, k) for k in KERNEL_NAMES}
-    kwargs.update(overrides)
-    return FunctionBackend(name=name, description=f"test clone {name}", **kwargs)
 
 
 def _factor_arrays(f):
@@ -97,8 +95,12 @@ class TestRegistry:
     def test_reference_is_registered_and_first(self):
         names = available_backends()
         assert names[0] == DEFAULT_BACKEND
-        assert "blocked" in names
+        assert STAND_IN_BACKEND in names
         assert list(names[1:]) == sorted(names[1:])
+
+    def test_shipped_backends_are_reference_and_optional_numba(self):
+        shipped = [n for n in available_backends() if n != STAND_IN_BACKEND]
+        assert shipped == [DEFAULT_BACKEND] + (["numba"] if HAVE_NUMBA else [])
 
     def test_unknown_backend_lists_registered(self):
         with pytest.raises(KernelError, match="reference"):
@@ -106,17 +108,17 @@ class TestRegistry:
 
     def test_resolve_none_string_and_object(self):
         assert resolve_backend(None) is REFERENCE
-        assert resolve_backend("blocked") is get_backend("blocked")
-        clone = _clone_reference("unregistered-clone")
+        assert resolve_backend(STAND_IN_BACKEND) is get_backend(STAND_IN_BACKEND)
+        clone = clone_reference("unregistered-clone")
         assert resolve_backend(clone) is clone  # objects pass through
 
     def test_register_refuses_duplicates_unless_replace(self):
-        clone = _clone_reference("dup-test")
+        clone = clone_reference("dup-test")
         register_backend(clone)
         try:
             with pytest.raises(KernelError, match="already registered"):
-                register_backend(_clone_reference("dup-test"))
-            replacement = _clone_reference("dup-test")
+                register_backend(clone_reference("dup-test"))
+            replacement = clone_reference("dup-test")
             assert register_backend(replacement, replace=True) is replacement
             assert get_backend("dup-test") is replacement
         finally:
@@ -136,7 +138,7 @@ class TestRegistry:
         import dataclasses
 
         with pytest.raises(KernelError, match="name"):
-            register_backend(dataclasses.replace(_clone_reference("x"), name=""))
+            register_backend(dataclasses.replace(clone_reference("x"), name=""))
 
     def test_backend_info_shape(self):
         info = backend_info()
@@ -385,7 +387,7 @@ class TestRunConformance:
             f.r[...] = f.r + 0.01
             return f
 
-        broken = _clone_reference("broken-geqrt", geqrt=bad_geqrt)
+        broken = clone_reference("broken-geqrt", geqrt=bad_geqrt)
         report = run_conformance(
             backends=[broken], tile_sizes=(4,), dtypes=(np.float64,), end_to_end=True
         )
@@ -400,7 +402,7 @@ class TestRunConformance:
                 a += 1.0  # scribble on the caller's tile
             return f
 
-        broken = _clone_reference("mutating-geqrt", geqrt=mutating_geqrt)
+        broken = clone_reference("mutating-geqrt", geqrt=mutating_geqrt)
         report = run_conformance(
             backends=[broken], tile_sizes=(4,), dtypes=(np.float64,), end_to_end=False
         )
@@ -408,7 +410,7 @@ class TestRunConformance:
         assert any("input modified" in c.note for c in report.failures())
 
     def test_end_to_end_bit_exactness_enforced(self):
-        case = check_end_to_end(get_backend("blocked"), REFERENCE)
+        case = check_end_to_end(get_backend(STAND_IN_BACKEND), REFERENCE)
         assert case.ok and case.max_err == 0.0 and case.tol == 0.0
 
 
@@ -426,16 +428,16 @@ class TestBackendSelection:
         store = ProfileStore()
         store.ingest_trace(small_trace(device="dev"), tile_size=16)
         store.ingest_trace(
-            small_trace(device="dev", scale=0.5), tile_size=16, backend="blocked"
+            small_trace(device="dev", scale=0.5), tile_size=16, backend=STAND_IN_BACKEND
         )
         audit = DecisionAudit()
         choices = select_kernel_backends(("dev",), 16, profile=store, audit=audit)
-        assert choices == {"dev": "blocked"}
+        assert choices == {"dev": STAND_IN_BACKEND}
         rec = audit.get(STAGE_BACKEND)
-        assert rec.chosen == "dev=blocked"
+        assert rec.chosen == f"dev={STAND_IN_BACKEND}"
         assert rec.margin > 0
-        assert set(rec.inputs["dev"]) == {"reference", "blocked"}
-        assert rec.inputs["dev"]["blocked"] < rec.inputs["dev"]["reference"]
+        assert set(rec.inputs["dev"]) == {"reference", STAND_IN_BACKEND}
+        assert rec.inputs["dev"][STAND_IN_BACKEND] < rec.inputs["dev"]["reference"]
 
     def test_unregistered_backend_measurements_are_ignored(self):
         store = ProfileStore()
@@ -448,7 +450,7 @@ class TestBackendSelection:
     def test_tile_size_mismatch_falls_back(self):
         store = ProfileStore()
         store.ingest_trace(
-            small_trace(device="dev", b=16), tile_size=16, backend="blocked"
+            small_trace(device="dev", b=16), tile_size=16, backend=STAND_IN_BACKEND
         )
         choices = select_kernel_backends(("dev",), 32, profile=store)
         assert choices == {"dev": DEFAULT_BACKEND}
@@ -458,7 +460,7 @@ class TestBackendSelection:
         for dev in system.device_ids:
             store.ingest_trace(small_trace(device=dev), tile_size=16)
             store.ingest_trace(
-                small_trace(device=dev, scale=0.5), tile_size=16, backend="blocked"
+                small_trace(device=dev, scale=0.5), tile_size=16, backend=STAND_IN_BACKEND
             )
         audit = DecisionAudit()
         plan = Optimizer(system, topology, profile=store).plan(
@@ -466,9 +468,9 @@ class TestBackendSelection:
         )
         backends = plan.notes["backends"]
         assert set(backends) == set(plan.participants)
-        assert all(b == "blocked" for b in backends.values())
+        assert all(b == STAND_IN_BACKEND for b in backends.values())
         text = explain_plan(plan)
-        assert STAGE_BACKEND in text and "blocked" in text
+        assert STAGE_BACKEND in text and STAND_IN_BACKEND in text
 
     def test_optimizer_without_profile_still_notes_backends(self, optimizer):
         plan = optimizer.plan(matrix_size=128, tile_size=16)
@@ -480,10 +482,10 @@ class TestBackendSelection:
         store = ProfileStore()
         store.ingest_trace(small_trace(device="dev"), tile_size=16)
         store.ingest_trace(
-            small_trace(device="dev", scale=3.0), tile_size=16, backend="blocked"
+            small_trace(device="dev", scale=3.0), tile_size=16, backend=STAND_IN_BACKEND
         )
         ranking = store.backend_ranking(device="dev", tile_size=16)
-        assert [name for name, _ in ranking] == ["reference", "blocked"]
+        assert [name for name, _ in ranking] == ["reference", STAND_IN_BACKEND]
         scores = [s for _, s in ranking]
         assert scores == sorted(scores)
         assert store.best_backend(device="dev", tile_size=16) == "reference"

@@ -17,8 +17,8 @@ from repro.dag import build_dag
 from repro.dag.tasks import Step
 from repro.devices import paper_gtx580, paper_testbed
 from repro.devices.autotune import (
+    GRID,
     autotune_host_device,
-    fit_timing_model,
     measure_host_kernels,
     tuned_tile_size,
 )
@@ -82,47 +82,27 @@ class TestRowBlockSimulation:
 
 
 class TestAutotune:
-    def test_synthetic_timer_fit_recovers_model(self):
-        """Inject a deterministic timer so the fit target is exact."""
-        from repro.kernels.flops import flops_geqrt
-
-        true_overhead = 5e-6
-        true_rate = 2e9
-        meas = {
-            step: {b: true_overhead + fl(b) / true_rate for b in (8, 16, 32, 64)}
-            for step, fl in {
-                Step.T: flops_geqrt,
-                Step.E: flops_geqrt,
-                Step.UT: flops_geqrt,
-                Step.UE: flops_geqrt,
-            }.items()
-        }
-        # Use the *matching* flop curves so recovery is exact for T only;
-        # check T (the aligned one) precisely.
-        model = fit_timing_model(
-            {Step.T: meas[Step.T], Step.E: meas[Step.E],
-             Step.UT: meas[Step.UT], Step.UE: meas[Step.UE]}
-        )
-        assert model.overheads_s[Step.T] == pytest.approx(true_overhead, rel=1e-6)
-        assert model.rates_flops[Step.T] == pytest.approx(true_rate, rel=1e-6)
-
-    def test_fit_needs_two_points(self):
-        with pytest.raises(DeviceError):
-            fit_timing_model({s: {16: 1e-3} for s in Step})
-
     def test_measure_host_kernels_structure(self):
-        meas = measure_host_kernels([8, 16], repeats=2)
+        store = measure_host_kernels([8, 16])
+        assert store.devices() == ["serial"]
+        assert store.tile_sizes() == [8, 16]
+        meas = store.step_measurements("serial")
         assert set(meas) == set(Step)
         for per_b in meas.values():
             assert set(per_b) == {8, 16}
             assert all(v > 0 for v in per_b.values())
+        # One traced GRID x GRID flat-tree factorization per tile size.
+        assert store.stats("GEQRT", tile_size=8).count == GRID
+        assert store.stats("TSMQR", tile_size=16).count == sum(
+            k * k for k in range(1, GRID)
+        )
 
     def test_measure_rejects_tiny(self):
         with pytest.raises(DeviceError):
             measure_host_kernels([1])
 
     def test_autotuned_device_usable_in_planner(self):
-        dev = autotune_host_device(tile_sizes=[8, 16, 32], repeats=2)
+        dev = autotune_host_device(tile_sizes=[8, 16, 32])
         from repro.core.optimizer import Optimizer
         from repro.devices.registry import make_system
 

@@ -23,7 +23,13 @@ from repro.kernels import (
 )
 from repro.kernels.backends import available_backends, get_backend
 from repro.runtime.serial import SerialRuntime
+from tests.conftest import STAND_IN_BACKEND
 from tests.strategies import random_tile, random_triangular
+
+pytestmark = pytest.mark.usefixtures("stand_in_backend")
+
+#: Shipped backends plus the registered ``reference`` clone.
+BACKENDS = [*available_backends(), STAND_IN_BACKEND]
 
 
 class TestOneByOneTiles:
@@ -53,7 +59,7 @@ class TestOneByOneTiles:
         back = unmqr(f, out.copy(), transpose=False)
         np.testing.assert_allclose(back, c, atol=1e-14)
 
-    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_full_factorization_at_b1(self, backend_name):
         a = random_tile(5, (6, 6))
         fact = SerialRuntime(backend=backend_name).factorize(a.copy(), tile_size=1)
@@ -164,7 +170,7 @@ class TestFloat32:
         scale = max(float(np.linalg.norm(np.vstack([r1, a2]))), 1.0)
         assert float(np.linalg.norm(c2)) <= 1e-4 * scale
 
-    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_backends_agree_in_float32(self, backend_name):
         be = get_backend(backend_name)
         a = random_tile(81, (20, 8), np.float32)
