@@ -4,13 +4,13 @@ Times each registered non-reference kernel backend against
 ``reference`` on the four hot kernels (GEQRT, TSQRT, UNMQR, TSMQR)
 across small tile sizes and records the per-case
 ``speedup = reference_seconds / backend_seconds``.  Small tiles are
-where backends differentiate: call overhead dominates, which is exactly
-what a jitted backend removes.
+where backends differentiate: call overhead dominates.
 
 Acceptance gate (compiled backends only): ``>= 1.3x`` over reference on
-GEQRT and TSQRT at ``b <= 32``.  The only shipped non-reference backend
-is the optional ``numba``; when it is not registered the gate test
-skips rather than fails, and the sweep has nothing to compare.
+GEQRT and TSQRT at ``b <= 32``.  Only ``reference`` ships, and its
+GEQRT/TSQRT are already LAPACK's compiled ``?geqrt``/``?tpqrt``; with no
+other backend registered the gate test skips rather than fails, and the
+sweep has nothing to compare.
 
 Every invocation appends its cases to ``BENCH_backend_kernels.json`` at
 the repo root.  Its older ``blocked`` records timed reference code on
@@ -150,7 +150,7 @@ def test_compiled_backend_factorization_speedup(benchmark):
     """Gate: compiled backends beat reference >= 1.3x on GEQRT/TSQRT, b<=32."""
     compiled = compiled_backends()
     if not compiled:
-        pytest.skip("no compiled backend registered (numba not installed)")
+        pytest.skip("no compiled backend registered")
 
     def gate_cases():
         return [

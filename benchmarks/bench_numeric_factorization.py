@@ -59,12 +59,15 @@ def test_solve(benchmark, fact256, matrix256):
     assert np.linalg.norm(matrix256 @ x - b) / np.linalg.norm(b) < 1e-8
 
 
-def test_geqrt_blocked_vs_unblocked(benchmark):
-    """Panel-blocked GEQRT at b=128 (identical factors, fewer Python loops)."""
+def test_geqrt_blocked_vs_unblocked(benchmark, monkeypatch):
+    """GEQRT at b=128 through LAPACK's recursive ``?geqrt``, checked
+    against the unblocked Python loop (the OpenBLAS loader patched out)."""
     from repro.kernels import geqrt
+    from repro.runtime import blas
 
     a = np.random.default_rng(3).standard_normal((128, 128))
     blocked = benchmark(lambda: geqrt(a))
+    monkeypatch.setattr(blas, "_symbols", lambda: None)
     unblocked = geqrt(a, inner_block=1)
     assert np.allclose(blocked.r, unblocked.r, atol=1e-12)
 

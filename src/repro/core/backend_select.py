@@ -1,9 +1,9 @@
 """Per-device kernel-backend selection from measured profiles.
 
 The backend registry (:mod:`repro.kernels.backends`) holds ``reference``
-plus the optional jitted ``numba`` backend and any backend a user
-registers; which one is fastest depends on the device and the tile size
-(a jitted backend wins on small tiles, where call overhead dominates).
+and any backend a user registers; which one is fastest depends on the
+device and the tile size (a compiled backend wins on small tiles, where
+call overhead dominates).
 This stage closes that loop the same way the scheduling
 policies do: it reads *measured* per-``(device, kind, tile size,
 backend)`` timings from a :class:`~repro.observability.profile.

@@ -45,10 +45,9 @@ def run(quick: bool = False) -> ExperimentResult:
         observations=(
             f"fitted overhead+flops/rate model tracks the measurements "
             f"(worst point error {worst_rel*100:.0f}%); the tuned tile "
-            f"size for a 768x768 on this host is b={best_b}. Python-loop "
-            f"overhead makes panel kernels (T/E) far slower than the "
-            f"BLAS-3 updates here — the same qualitative profile as the "
-            f"paper's Fig. 4 devices."
+            f"size for a 768x768 on this host is b={best_b}. Panel "
+            f"kernels (T/E) run slower than the BLAS-3 updates here — "
+            f"the same qualitative profile as the paper's Fig. 4 devices."
         ),
         extra={"device": host, "tuned_tile_size": best_b},
     )

@@ -10,12 +10,9 @@ runtimes call a kernel.
 Shipped backends
 ----------------
 ``reference``
-    The pure-NumPy kernels of :mod:`repro.kernels` — the conformance
-    oracle every other backend is checked against.
-``numba``
-    Jitted factorization loops (:mod:`repro.kernels.backends.numba_backend`).
-    Registered only when numba imports; absence is a silent no-op, so
-    the library never requires the dependency.
+    The kernels of :mod:`repro.kernels` — LAPACK's ``?geqrt``/``?tpqrt``
+    for the factorizations and NumPy GEMMs for the updates; the
+    conformance oracle every other backend is checked against.
 
 Every registered backend must pass the differential conformance harness
 (:mod:`repro.kernels.backends.conformance`, ``tiledqr backends --check``,
@@ -208,16 +205,8 @@ def backend_info() -> list[dict]:
 # -- shipped backends -------------------------------------------------------
 
 from .reference import REFERENCE_BACKEND  # noqa: E402
-from .numba_backend import HAVE_NUMBA, make_numba_backend  # noqa: E402
 
 register_backend(REFERENCE_BACKEND)
-
-#: The numba backend instance, or ``None`` when numba is absent — the
-#: graceful-degradation contract: importing this package never fails for
-#: lack of an optional compiler.
-NUMBA_BACKEND = make_numba_backend()
-if NUMBA_BACKEND is not None:  # pragma: no cover - requires numba installed
-    register_backend(NUMBA_BACKEND)
 
 __all__ = [
     "KERNEL_NAMES",
@@ -231,6 +220,4 @@ __all__ = [
     "resolve_backend",
     "backend_info",
     "REFERENCE_BACKEND",
-    "NUMBA_BACKEND",
-    "HAVE_NUMBA",
 ]

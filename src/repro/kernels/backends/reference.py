@@ -1,6 +1,8 @@
-"""The ``reference`` backend: the pure-NumPy kernels, unchanged.
+"""The ``reference`` backend: the :mod:`repro.kernels` kernels, unchanged.
 
-This is a thin packaging of the existing :mod:`repro.kernels` functions
+GEQRT/TSQRT/TTQRT call LAPACK's ``?geqrt``/``?tpqrt`` in NumPy's
+OpenBLAS (Python loops without it); the updates are NumPy GEMMs.  This
+is a thin packaging of the existing :mod:`repro.kernels` functions
 as a :class:`~repro.kernels.backends.FunctionBackend` — the functions
 are the *same objects* the library has always exported, so code calling
 ``repro.kernels.geqrt`` directly and code routing through the registry
@@ -27,7 +29,7 @@ def _make():
 
     return FunctionBackend(
         name="reference",
-        description="pure-NumPy oracle kernels (repro.kernels)",
+        description="oracle kernels (repro.kernels): LAPACK factorizations, NumPy updates",
         geqrt=geqrt,
         tsqrt=tsqrt,
         ttqrt=ttqrt,

@@ -3,7 +3,9 @@
 QR-factorizes a single tile ``A_t = Q_t R_t`` (Eq. 4) and replaces the
 tile with ``R_t`` (Eq. 5).  The orthogonal factor is kept in compact form
 (Householder vectors ``V`` + compact-WY ``Tf``) so the update kernels can
-apply it cheaply.
+apply it cheaply.  float32/float64 tiles go to LAPACK's ``?geqrt``
+(:mod:`repro.kernels.lapack`); the Python panel loop below is the
+fallback without it and the oracle in tests.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import KernelError
+from . import lapack
 from .householder import make_reflector, apply_reflector
 from .blockreflector import build_t_factor, apply_block_reflector
 
@@ -85,9 +88,10 @@ def geqrt(a: np.ndarray, inner_block: int | None = None) -> GEQRTResult:
         ``(m, n)`` tile with ``m >= n`` (square ``b x b`` in the paper).
         Not modified; the caller replaces the tile with ``result.r``.
     inner_block:
-        Panel width for the blocked algorithm.  ``None`` picks
-        automatically (unblocked for narrow tiles, 32-column panels for
-        wide ones); pass ``1`` to force the textbook unblocked loop.
+        Panel width of the Python loop, which runs only without LAPACK's
+        ``?geqrt`` or for other dtypes.  ``None`` picks automatically
+        (unblocked for narrow tiles, 32-column panels for wide ones);
+        pass ``1`` to force the textbook unblocked loop.
 
     Returns
     -------
@@ -114,10 +118,15 @@ def geqrt(a: np.ndarray, inner_block: int | None = None) -> GEQRTResult:
             raise KernelError(f"inner_block must be >= 1, got {inner_block}")
         ib = inner_block
 
-    if a.dtype.kind != "f":
-        r = a.astype(np.float64)  # the dtype conversion is already a copy
-    else:
-        r = a.copy()
+    dtype = a.dtype if a.dtype.kind == "f" else np.dtype(np.float64)
+    if n and (out := lapack.geqrt(a, dtype)) is not None:
+        r, tf = out
+        v = np.tril(r, -1)
+        r -= v  # exact zeros below the diagonal
+        np.fill_diagonal(v, 1.0)
+        return GEQRTResult(r=r, v=v, tf=tf, taus=tf.diagonal().copy())
+
+    r = a.astype(dtype)  # always a copy
     v = np.zeros((m, n), dtype=r.dtype)
     taus = np.zeros(n, dtype=r.dtype)
     for j0 in range(0, n, ib):

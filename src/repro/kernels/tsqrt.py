@@ -11,6 +11,8 @@ where ``R1`` is the already-triangulated diagonal tile and ``A2`` a dense
 ``V = [I; V2]``: the top block is implicitly the identity, so only the
 dense ``V2`` is stored.  The paper's TT ("triangle on top of triangle")
 variant lives in :mod:`repro.kernels.ttqrt` and shares this machinery.
+float32/float64 pairs go to LAPACK's ``?tpqrt`` (:mod:`repro.kernels.lapack`);
+the Python loop below is the fallback without it and the oracle in tests.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import KernelError
+from . import lapack
 from .blockreflector import build_t_factor
 from .householder import make_reflector
 
@@ -84,6 +87,11 @@ def _stacked_factor(r1: np.ndarray, a2: np.ndarray, triangular_bottom: bool) -> 
         dtype = np.result_type(r1.dtype, a2.dtype, np.float64)
     b = r1.shape[1]
     m2 = a2.shape[0]
+    kind = "TT" if triangular_bottom else "TS"
+    out = lapack.tpqrt(r1, a2, b if triangular_bottom else 0, dtype) if b and m2 else None
+    if out is not None:
+        r, v2, tf = out
+        return TSQRTResult(r=r, v2=v2, tf=tf, taus=tf.diagonal().copy(), kind=kind)
 
     r = np.asarray(r1, dtype=dtype).copy()
     bot = np.asarray(a2, dtype=dtype).copy()
@@ -109,7 +117,7 @@ def _stacked_factor(r1: np.ndarray, a2: np.ndarray, triangular_bottom: bool) -> 
 
     v_full = np.vstack([np.eye(b, dtype=dtype), v2])
     tf = build_t_factor(v_full, taus)
-    return TSQRTResult(r=r, v2=v2, tf=tf, taus=taus, kind="TT" if triangular_bottom else "TS")
+    return TSQRTResult(r=r, v2=v2, tf=tf, taus=taus, kind=kind)
 
 
 def tsqrt(r1: np.ndarray, a2: np.ndarray) -> TSQRTResult:

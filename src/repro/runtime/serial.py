@@ -39,6 +39,7 @@ from ..errors import ConfigError, ShapeError, SimulationError
 from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace, drain_fallbacks
 from ..tiles import TiledMatrix
+from .blas import blas_threads
 from .core_exec import Factors, apply_task, apply_task_resilient, factor_key
 from .factorization import TiledQRFactorization
 
@@ -576,7 +577,9 @@ class TaskGraphRuntime(Runtime):
 
 class SerialRuntime(TaskGraphRuntime):
     """Reference executor: one task at a time, highest-rank-ready first,
-    inline on the caller's thread — no threads, no locks.
+    inline on the caller's thread — no threads, no locks.  BLAS runs one
+    thread, as in the other runtimes' workers, so R is bit-identical
+    across runtimes (``?tpqrt``'s T depends on the BLAS thread count).
 
     ``elimination`` and the keyword ``options`` are the
     :class:`RunOptions` fields; kernels run under device id ``"serial"``.
@@ -590,9 +593,10 @@ class SerialRuntime(TaskGraphRuntime):
     def _dispatch(self, run: TaskGraphRun) -> None:
         workspace = run.workspace()
         execute, complete = run.execute, run.complete
-        while (task := run.pop()) is not None:
-            if complete(task, execute(task, workspace, "serial")):
-                run.checkpoint("serial")
+        with blas_threads(1):
+            while (task := run.pop()) is not None:
+                if complete(task, execute(task, workspace, "serial")):
+                    run.checkpoint("serial")
 
 
 def tiled_qr(

@@ -16,9 +16,11 @@ from repro.kernels.backends import (
     register_backend,
     unregister_backend,
 )
+from repro.runtime import blas
 
 #: A second registered backend for backend-parametrized tests, so a
-#: non-default backend routed by name is exercised even without numba.
+#: non-default backend routed by name is exercised although only
+#: ``reference`` ships.
 #: It is a ``reference`` clone under the name of the deleted ``blocked``
 #: backend, which ran the reference kernels at every width tested here.
 STAND_IN_BACKEND = "blocked"
@@ -41,6 +43,13 @@ def stand_in_backend():
     register_backend(clone_reference(STAND_IN_BACKEND))
     yield STAND_IN_BACKEND
     unregister_backend(STAND_IN_BACKEND)
+
+
+@pytest.fixture
+def python_loops(monkeypatch):
+    """Patch out the shared OpenBLAS loader, so GEQRT/TSQRT/TTQRT run
+    their Python loops instead of LAPACK (and nothing pins BLAS threads)."""
+    monkeypatch.setattr(blas, "_symbols", lambda: None)
 
 
 @pytest.fixture

@@ -2,8 +2,7 @@
 
 Four layers, mirroring the contract in ``docs/KERNELS.md``:
 
-* **registry** — registration/lookup/validation semantics, including
-  the graceful no-op when numba is absent;
+* **registry** — registration/lookup/validation semantics;
 * **differential kernels** — hypothesis-driven agreement of every
   registered backend with the ``reference`` oracle, per kernel, over
   randomized tile sizes, shapes, and dtypes (``<= 1e-12`` in float64);
@@ -37,8 +36,6 @@ from repro.errors import KernelError
 from repro.kernels import Workspace
 from repro.kernels.backends import (
     DEFAULT_BACKEND,
-    HAVE_NUMBA,
-    NUMBA_BACKEND,
     available_backends,
     backend_info,
     get_backend,
@@ -98,9 +95,9 @@ class TestRegistry:
         assert STAND_IN_BACKEND in names
         assert list(names[1:]) == sorted(names[1:])
 
-    def test_shipped_backends_are_reference_and_optional_numba(self):
+    def test_reference_is_the_only_shipped_backend(self):
         shipped = [n for n in available_backends() if n != STAND_IN_BACKEND]
-        assert shipped == [DEFAULT_BACKEND] + (["numba"] if HAVE_NUMBA else [])
+        assert shipped == [DEFAULT_BACKEND]
 
     def test_unknown_backend_lists_registered(self):
         with pytest.raises(KernelError, match="reference"):
@@ -149,12 +146,6 @@ class TestRegistry:
             assert isinstance(d["compiled"], bool)
             assert isinstance(d["bit_exact"], bool)
             assert d["description"]
-
-    def test_numba_absence_is_a_graceful_noop(self):
-        # The container intentionally lacks numba: importing the package
-        # must still succeed (it did, above) and simply not register it.
-        assert ("numba" in available_backends()) == HAVE_NUMBA
-        assert (NUMBA_BACKEND is not None) == HAVE_NUMBA
 
 
 @pytest.mark.parametrize("backend_name", OTHER_BACKENDS)

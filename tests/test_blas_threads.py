@@ -1,6 +1,7 @@
-"""One BLAS thread per kernel worker: the threaded runtime pins the
-process's OpenBLAS count for the pool's lifetime and restores it, and a
-multiprocess worker pins its own process once."""
+"""One BLAS thread per kernel worker: the serial and threaded runtimes pin
+the process's OpenBLAS count for the run and restore it, and a
+multiprocess worker pins its own process once.  With every kernel on one
+BLAS thread, R is bit-identical across the three runtimes."""
 
 import multiprocessing as mp
 import threading
@@ -78,10 +79,11 @@ class TestThreadedScope:
         ThreadedRuntime(2, backend=_recorder(seen)).factorize(_matrix(), B)
         assert seen and set(seen) == {1}
 
-    def test_serial_kernels_keep_the_callers_count(self):
+    def test_serial_kernels_see_one_thread(self):
         seen = []
         SerialRuntime(backend=_recorder(seen)).factorize(_matrix(), B)
-        assert set(seen) == {CALLER}
+        assert seen and set(seen) == {1}
+        assert blas.get_num_threads() == CALLER
 
     def test_overlapping_runs_restore_the_original_count(self):
         # The first GEQRT of each run waits for the other run's first
@@ -119,7 +121,11 @@ class TestThreadedScope:
         assert np.array_equal(results[0].r_dense(), results[1].r_dense())
 
     def test_missing_symbols_are_a_no_op(self, monkeypatch):
+        # Without the loader the factorization kernels fall back to their
+        # Python loops too, so the pinned run uses those loops as well.
         a = _matrix(256, seed=4)
+        syms = blas._symbols()
+        monkeypatch.setattr(blas, "_symbols", lambda: syms._replace(lapack={}))
         pinned = ThreadedRuntime(2).factorize(a.copy(), 64).r_dense()
         monkeypatch.setattr(blas, "_symbols", lambda: None)
         assert blas.get_num_threads() is None
@@ -138,6 +144,19 @@ def test_setting_the_current_count_skips_the_setter(monkeypatch):
     assert calls == []
     blas.set_num_threads(2)
     assert calls == [2]
+
+
+@pytest.mark.parametrize("n, b", [(256, 64), (1024, 128)])
+def test_r_is_bit_identical_across_runtimes(optimizer, n, b):
+    # At b >= 64 ?tpqrt's T depends on the BLAS thread count, so this
+    # fails unless every runtime runs its kernels on one BLAS thread.
+    a = _matrix(n, seed=n)
+    plan = optimizer.plan(matrix_size=n, tile_size=b, num_devices=2)
+    serial = SerialRuntime().factorize(a.copy(), b).r_dense()
+    threaded = ThreadedRuntime(2).factorize(a.copy(), b).r_dense()
+    multi = MultiprocessRuntime(plan).factorize(a.copy(), b).r_dense()
+    assert np.array_equal(serial, threaded)
+    assert np.array_equal(serial, multi)
 
 
 class TestMultiprocessWorker:

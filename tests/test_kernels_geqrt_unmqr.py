@@ -103,8 +103,10 @@ class TestUNMQR:
             unmqr(f, rng.standard_normal((7, 3)))
 
 
+@pytest.mark.usefixtures("python_loops")
 class TestBlockedGEQRT:
-    """The panel-blocked variant must be bit-compatible with unblocked."""
+    """The Python loop's panel-blocked variant must be bit-compatible
+    with its unblocked one (LAPACK's ``?geqrt`` is patched out)."""
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (96, 64), (50, 33)])
     def test_identical_factors(self, rng, shape):
