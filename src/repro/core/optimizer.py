@@ -190,7 +190,7 @@ class Optimizer:
         audit as an ``elimination_tree`` (STAGE_TREE) record.
         """
         from ..dag import build_dag
-        from ..dag.analysis import bottom_level_ranks, task_weight_model
+        from ..dag.analysis import task_weight_model
         from ..dag.trees import AUTO, canonical_tree, tree_names
         from ..observability.decisions import (
             STAGE_TREE,
@@ -207,7 +207,7 @@ class Optimizer:
         metrics: dict[str, dict] = {}
         for name in tree_names():
             dag = build_dag(grid_rows, grid_cols, name, batch_updates=False)
-            cp = max(bottom_level_ranks(dag, weight).values(), default=0.0)
+            cp = max(dag.bottom_levels(weight), default=0.0)
             metrics[name] = {
                 "weighted_critical_path": cp,
                 "tasks": float(len(dag.tasks)),

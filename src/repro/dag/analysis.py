@@ -77,11 +77,12 @@ def critical_path_length(
         The makespan lower bound for infinitely many devices.
     """
     w = weight if weight is not None else (lambda _t: 1.0)
-    finish: dict[Task, float] = {}
-    for t in dag.tasks:  # emission order is topological
-        start = max((finish[d] for d in dag.preds[t]), default=0.0)
-        finish[t] = start + w(t)
-    return max(finish.values(), default=0.0)
+    finish = [0.0] * len(dag.tasks)
+    for i, t in enumerate(dag.tasks):  # emission order is topological
+        preds = dag.pred_ids(i)
+        start = max(map(finish.__getitem__, preds)) if preds else 0.0
+        finish[i] = start + w(t)
+    return max(finish, default=0.0)
 
 
 def bottom_level_ranks(
@@ -106,12 +107,7 @@ def bottom_level_ranks(
         Per-task cost (seconds or flops — only relative magnitudes
         matter); defaults to 1 per task.
     """
-    w = weight if weight is not None else (lambda _t: 1.0)
-    ranks: dict[Task, float] = {}
-    for t in reversed(dag.tasks):  # reverse emission order = reverse topological
-        tail = max((ranks[s] for s in dag.succs[t]), default=0.0)
-        ranks[t] = w(t) + tail
-    return ranks
+    return dict(zip(dag.tasks, dag.bottom_levels(weight)))
 
 
 def task_weight_model(
@@ -174,11 +170,12 @@ def max_parallelism(dag: TiledQRDag) -> int:
     when every task costs 1 — an (optimistic) parallelism indicator used
     in scalability discussions.
     """
-    level: dict[Task, int] = {}
+    level = [0] * len(dag.tasks)
     width: dict[int, int] = {}
-    for t in dag.tasks:
-        lv = max((level[d] + 1 for d in dag.preds[t]), default=0)
-        level[t] = lv
+    for i in range(len(dag.tasks)):
+        preds = dag.pred_ids(i)
+        lv = max(map(level.__getitem__, preds)) + 1 if preds else 0
+        level[i] = lv
         width[lv] = width.get(lv, 0) + 1
     return max(width.values(), default=0)
 

@@ -25,9 +25,10 @@ def to_networkx(dag: TiledQRDag) -> "nx.DiGraph":
             col=t.col,
             label=t.label(),
         )
-    for t in dag.tasks:
-        for d in dag.preds[t]:
-            g.add_edge(d, t)
+    tasks = dag.tasks
+    for i, t in enumerate(tasks):
+        for d in dag.pred_ids(i):
+            g.add_edge(tasks[d], t)
     return g
 
 
@@ -38,13 +39,12 @@ def to_dot(dag: TiledQRDag) -> str:
     """
     colors = {"T": "#e15759", "E": "#f28e2b", "UT": "#4e79a7", "UE": "#76b7b2"}
     lines = ["digraph tiledqr {", "  rankdir=TB;", "  node [style=filled, fontname=monospace];"]
-    ids = {t: f"t{n}" for n, t in enumerate(dag.tasks)}
-    for t in dag.tasks:
+    for i, t in enumerate(dag.tasks):
         lines.append(
-            f'  {ids[t]} [label="{t.label()}", fillcolor="{colors[t.step.value]}"];'
+            f'  t{i} [label="{t.label()}", fillcolor="{colors[t.step.value]}"];'
         )
-    for t in dag.tasks:
-        for d in dag.preds[t]:
-            lines.append(f"  {ids[d]} -> {ids[t]};")
+    for i in range(len(dag.tasks)):
+        for d in dag.pred_ids(i):
+            lines.append(f"  t{d} -> t{i};")
     lines.append("}")
     return "\n".join(lines)

@@ -18,8 +18,10 @@ ops: UNMQR apply, TRSM) and UE (pair ops: TSMQR apply, GEMM update).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..errors import DAGError
-from .builder import TiledQRDag, _AccessTracker
+from .builder import TiledQRDag
 from .tasks import Task, TaskKind
 
 
@@ -53,23 +55,19 @@ class SolveDag(TiledQRDag):
 
         self.tree = resolve_tree("flat")
         self.elimination = self.tree.name
-        self.tasks = []
-        self.preds = {}
-        self.succs = {}
-        self._build_solve()
+        self._freeze(self._emission())
 
-    def _build_solve(self) -> None:
+    def _emission(self) -> Iterator[Task]:
         p = self.grid_rows
-        tracker = _AccessTracker()
         # Phase 1: Q^T b — replay panels over each RHS tile column.
         for k in range(p):
             for c in range(self.rhs_tiles):
                 col = p + c
                 # UNMQR-like apply of the panel's GEQRT to RHS row k.
-                self._emit(tracker, Task(TaskKind.UNMQR, k, k, k, col))
+                yield Task(TaskKind.UNMQR, k, k, k, col)
                 # TSMQR-like chain down the panel rows.
                 for i in range(k + 1, p):
-                    self._emit(tracker, Task(TaskKind.TSMQR, k, i, k, col))
+                    yield Task(TaskKind.TSMQR, k, i, k, col)
         # Phase 2: back-substitution, bottom-up.  Row i's TRSM waits for
         # every GEMM from rows below; we model TRSM as an UNMQR-step task
         # at panel index p (+i) and the substitution GEMMs as TSMQR-step
@@ -77,10 +75,10 @@ class SolveDag(TiledQRDag):
         for i in range(p - 1, -1, -1):
             for c in range(self.rhs_tiles):
                 col = p + c
-                self._emit(tracker, Task(TaskKind.UNMQR, p + i, i, i, col))
+                yield Task(TaskKind.UNMQR, p + i, i, i, col)
                 for j in range(i - 1, -1, -1):
                     # Substitute x_i into row j's RHS.
-                    self._emit(tracker, Task(TaskKind.TSMQR, p + i, i, j, col))
+                    yield Task(TaskKind.TSMQR, p + i, i, j, col)
 
     def accesses(self, task: Task):
         """Solve-phase data semantics.
@@ -95,9 +93,6 @@ class SolveDag(TiledQRDag):
             x_tile = ("t", task.row, task.col)
             writes = [w for w in writes if w != x_tile]
         return reads, writes
-
-    def validate(self) -> None:  # inherit structural check
-        super().validate()
 
 
 def build_solve_dag(grid_rows: int, rhs_tiles: int = 1) -> SolveDag:

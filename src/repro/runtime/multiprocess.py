@@ -58,6 +58,7 @@ resume on any runtime.
 from __future__ import annotations
 
 import multiprocessing as mp
+from collections import Counter
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -420,23 +421,22 @@ class MultiprocessRuntime(Runtime):
         p, q = tiled.grid_rows, tiled.grid_cols
 
         # Critical-path column priorities (see docs/PERFORMANCE.md):
-        # rank each trailing column of each panel by the highest
-        # bottom-level rank among its update tasks, so broadcasts hit
-        # the most critical columns — the upcoming panels — first.
+        # each trailing column of each panel takes the best priority
+        # position (highest bottom-level rank) among its update tasks, so
+        # broadcasts hit the most critical columns — the upcoming panels
+        # — first.  The DAG and its priority order are cached per shape.
         from ..dag import build_dag
-        from ..dag.analysis import bottom_level_ranks, task_weight_model
 
         ref_dag = build_dag(p, q, opts.elimination, batch_updates=False)
-        col_rank: dict[tuple[int, int], float] = {}
-        for t, r in bottom_level_ranks(ref_dag, task_weight_model(b)).items():
-            key = (t.k, t.col)
-            if r > col_rank.get(key, -1.0):
-                col_rank[key] = r
+        _, position = ref_dag.priority(b)
+        col_first: dict[tuple[int, int], int] = {}
         # Each panel's factorization tasks in tree (emission) order.
         factor_tasks: dict[int, list[Task]] = {}
-        for t in ref_dag.tasks:
+        for t, pos in zip(ref_dag.tasks, position):
             if factor_key(t) is not None:
                 factor_tasks.setdefault(t.k, []).append(t)
+            elif pos < col_first.get((t.k, t.col), len(position)):
+                col_first[(t.k, t.col)] = pos
 
         tracer = opts.active_tracer
         metrics = opts.metrics
@@ -724,8 +724,8 @@ class MultiprocessRuntime(Runtime):
                 if isinstance(x, np.ndarray)
             ))
 
-            def crit(j: int) -> float:
-                return col_rank.get((k, j), 0.0)
+            def crit(j: int) -> int:
+                return col_first.get((k, j), len(position))
 
             # Broadcast to every device holding columns that have not yet
             # absorbed this panel's update — devices and columns ordered
@@ -738,9 +738,9 @@ class MultiprocessRuntime(Runtime):
                     continue
                 pending.setdefault(dev, []).append(j)
             for dev, cols in sorted(
-                pending.items(), key=lambda item: -max(crit(j) for j in item[1])
+                pending.items(), key=lambda item: min(map(crit, item[1]))
             ):
-                cols.sort(key=lambda j: (-crit(j), j))
+                cols.sort(key=crit)
                 xfer = (owner_p, bcast_bytes, f"bcast{k}") if dev != owner_p else None
                 ask(
                     dev,
@@ -862,24 +862,23 @@ class MultiprocessRuntime(Runtime):
         tiled = resume.tiled
         p, q = tiled.grid_rows, tiled.grid_cols
         dag = build_dag(p, q, elimination, batch_updates=False)
-        completed = check_resume_state(resume, dag, tiled, elimination, False)
+        done = check_resume_state(resume, dag, tiled, elimination, False)
+        panel_size = Counter(t.k for t in dag.tasks)
+        panel_done = Counter(dag.tasks[tid].k for tid in done)
         done_panels = 0
         for k in range(min(p, q)):
-            panel = dag.panel_tasks(k)
-            n_done = sum(1 for t in panel if t in completed)
-            if n_done == len(panel):
+            n_done, n = panel_done[k], panel_size[k]
+            if n_done == n:
                 done_panels = k + 1
             elif n_done == 0:
                 break
             else:
                 raise CheckpointError(
                     f"multiprocess resume requires panel-aligned snapshots; "
-                    f"panel {k} is only partially complete ({n_done}/{len(panel)} "
+                    f"panel {k} is only partially complete ({n_done}/{n} "
                     f"tasks) — resume it with the serial or threaded runtime"
                 )
-        if len(completed) != sum(
-            len(dag.panel_tasks(k)) for k in range(done_panels)
-        ):
+        if len(done) != sum(panel_size[k] for k in range(done_panels)):
             raise CheckpointError(
                 "multiprocess resume requires panel-aligned snapshots — "
                 "resume this one with the serial or threaded runtime"

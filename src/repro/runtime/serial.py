@@ -18,6 +18,15 @@ priority order changes nothing numerically — but every runtime executes
 the schedule shape the simulator prefers, and mid-run checkpoints stay
 frontier-shaped the way a parallel resume expects.
 
+The DAG comes from :func:`repro.dag.build_dag`'s per-shape cache, with
+the priority order computed once per tile size
+(:meth:`~repro.dag.builder.TiledQRDag.priority`).  All bookkeeping runs
+on task ids: the ready heap holds each task's int position in that
+order, and completions decrement a copy of the DAG's in-degree list
+through its CSR successor arrays.  :class:`~repro.dag.tasks.Task`
+objects appear only where a task leaves the loop — kernels, the factor
+log, ``completed_order``, checkpoints, traces and events.
+
 Every runtime — :class:`~repro.runtime.multiprocess.MultiprocessRuntime`
 included — takes its settings as one frozen :class:`RunOptions` and
 inherits the failure-bundle ``factorize`` wrapper from :class:`Runtime`.
@@ -32,8 +41,10 @@ from typing import Any
 import numpy as np
 
 from ..config import DEFAULT_TILE_SIZE
+# The layer ledger's traced mode patches these two names on this module;
+# ``build_dag`` is looked up here on every run.
 from ..dag import build_dag
-from ..dag.analysis import bottom_level_ranks, task_weight_model
+from ..dag.analysis import bottom_level_ranks  # noqa: F401
 from ..dag.trees import canonical_tree
 from ..errors import ConfigError, ShapeError, SimulationError
 from ..kernels.backends import resolve_backend
@@ -181,7 +192,7 @@ def coerce_input(a, tile_size: int, storage: str = "tiles"):
 
 def check_resume_state(resume, dag, tiled, elimination: str, batch_updates: bool):
     """Validate a :class:`~repro.runtime.checkpoint.PartialState` against
-    the runtime's DAG and return its completed set.
+    the runtime's DAG and return the ids of its completed tasks.
 
     Raises :class:`~repro.runtime.checkpoint.CheckpointError` when the
     snapshot was taken under a different DAG configuration (resuming
@@ -215,9 +226,7 @@ def check_resume_state(resume, dag, tiled, elimination: str, batch_updates: bool
             f"snapshot factors a {resume.shape[0]}x{resume.shape[1]} matrix, "
             f"but the target is {tiled.shape[0]}x{tiled.shape[1]}"
         )
-    completed = set(resume.completed)
-    dag.validate_completed(completed)
-    return completed
+    return dag.validate_completed(resume.completed)
 
 
 class _CheckpointWriter:
@@ -392,15 +401,17 @@ class TaskGraphRun:
     """One task-graph factorization in flight: the state every dispatch
     policy shares.
 
-    A policy drives it with :meth:`pop` (highest-rank ready task),
-    :meth:`execute` (one kernel with its span, events and retry
-    envelope), :meth:`complete` (release successors; True when a
-    checkpoint is due) and :meth:`checkpoint`.  Nothing here locks: a
-    concurrent policy serializes :meth:`pop`, :meth:`complete` and
-    :meth:`checkpoint` itself and runs :meth:`execute` unlocked.
+    A policy drives it with :meth:`pop` (``(task id, task)`` of the
+    highest-rank ready task), :meth:`execute` (one kernel with its span,
+    events and retry envelope), :meth:`complete` (release successors by
+    id; True when a checkpoint is due) and :meth:`checkpoint`.  Nothing
+    here locks: a concurrent policy serializes :meth:`pop`,
+    :meth:`complete` and :meth:`checkpoint` itself and runs
+    :meth:`execute` unlocked.
 
     ``split`` optionally maps a ready batched task to column chunks that
-    are queued separately; the batch completes with its last chunk.
+    are queued separately under the batch's id; the batch completes
+    with its last chunk.
     """
 
     def __init__(self, a, tile_size: int, resume, opts: RunOptions, split=None):
@@ -414,9 +425,9 @@ class TaskGraphRun:
         self.factors: dict[tuple, Factors] = {}
         self.log: list = []
         self.completed_order: list = []
-        completed: set = set()
+        done_ids = frozenset()
         if resume is not None:
-            completed = check_resume_state(
+            done_ids = check_resume_state(
                 resume, dag, tiled, opts.elimination, opts.batch_updates
             )
             self.completed_order = list(resume.completed)
@@ -424,7 +435,7 @@ class TaskGraphRun:
             for task, f in self.log:
                 self.factors[factor_key(task)] = f
         self.total = len(dag.tasks)
-        self.done = len(completed)
+        self.done = len(done_ids)
         self.workspaces: list[Workspace] = []
 
         self.backend = opts.backend
@@ -451,40 +462,52 @@ class TaskGraphRun:
             opts.metrics, self.tracer, opts.bus,
         )
 
-        # Ready heap entries are ((-rank, emission position), first column,
-        # task): highest bottom-level rank first, fully deterministic, and
-        # Task objects are never compared (chunks of one batch share the
-        # priority and differ in the column).
-        self._split = split
-        ranks = bottom_level_ranks(dag, task_weight_model(tiled.tile_size))
-        self._priority = {t: (-ranks[t], n) for n, t in enumerate(dag.tasks)}
-        self._heap: list = []
-        self._chunk_parent: dict = {}
-        self._chunks_left: dict = {}
-        self._waiting = {
-            t: sum(1 for d in dag.preds[t] if d not in completed)
-            for t in dag.tasks
-            if t not in completed
-        }
-        for t, n in self._waiting.items():
-            if n == 0:
-                self._release(t)
+        # The ready heap holds each task's position in the DAG's priority
+        # order: highest bottom-level rank first, emission order breaking
+        # ties.  Chunks of one batch share its position and pop in
+        # column order from ``_chunks``.
+        self._order, self._position = dag.priority(tiled.tile_size)
+        self._tasks = dag.tasks
+        self._succ_ptr, self._succ_idx = dag.succ_ptr, dag.succ_idx
+        self._split = split if dag.batch_updates else None
+        self._chunks: dict[int, list] = {}
+        self._chunks_left: dict[int, int] = {}
+        waiting = list(dag.indegree)
+        for tid in done_ids:
+            for succ in dag.succ_ids(tid):
+                waiting[succ] -= 1
+        self._waiting = waiting
+        self._heap: list[int] = []
+        for tid, left in enumerate(waiting):
+            if left == 0 and tid not in done_ids:
+                self._release(tid)
 
-    def _release(self, task) -> None:
-        priority = self._priority[task]
-        chunks = (task,)
-        if self._split is not None and task.is_batch:
-            chunks = self._split(task)
-        if len(chunks) > 1:
-            self._chunks_left[task] = len(chunks)
-            for c in chunks:
-                self._chunk_parent[c] = task
-        for c in chunks:
-            heappush(self._heap, (priority, c.col, c))
+    def _release(self, tid: int) -> None:
+        pos = self._position[tid]
+        if self._split is not None:
+            chunks = self._split(self._tasks[tid])
+            if len(chunks) > 1:
+                self._chunks[tid] = chunks[::-1]  # popped from the end
+                self._chunks_left[tid] = len(chunks)
+                for _ in chunks:
+                    heappush(self._heap, pos)
+                return
+        heappush(self._heap, pos)
 
     def pop(self):
-        """The highest-rank ready task, or None when none is ready."""
-        return heappop(self._heap)[-1] if self._heap else None
+        """``(task id, task)`` of the highest-rank ready task — under
+        ``split``, possibly one chunk of a batch — or None when none is
+        ready."""
+        if not self._heap:
+            return None
+        tid = self._order[heappop(self._heap)]
+        chunks = self._chunks.get(tid) if self._chunks else None
+        if chunks is None:
+            return tid, self._tasks[tid]
+        task = chunks.pop()
+        if not chunks:
+            del self._chunks[tid]
+        return tid, task
 
     def workspace(self) -> Workspace:
         """A fresh per-worker scratch arena (fallbacks drained at the end)."""
@@ -522,23 +545,24 @@ class TaskGraphRun:
             metrics=self.metrics, tracer=self.tracer, device=device, bus=self.bus,
         )
 
-    def complete(self, task, produced) -> bool:
-        """Record a finished task (or chunk) and release its successors;
-        True when a checkpoint is due."""
-        # Task hashing is not free: skip the chunk lookup when none is out.
-        parent = self._chunk_parent.pop(task, None) if self._chunk_parent else None
-        if parent is not None:
-            self._chunks_left[parent] -= 1
-            if self._chunks_left[parent] > 0:
+    def complete(self, tid: int, produced) -> bool:
+        """Record finished task ``tid`` (or one of its chunks) and
+        release its successors; True when a checkpoint is due."""
+        chunks_left = self._chunks_left
+        if chunks_left and tid in chunks_left:
+            left = chunks_left[tid] - 1
+            if left:
+                chunks_left[tid] = left
                 return False  # siblings still running
-            del self._chunks_left[parent]
-            task = parent
+            del chunks_left[tid]
+        task = self._tasks[tid]
         if produced is not None:
             self.log.append((task, produced))
         self.completed_order.append(task)
         self.done += 1
         waiting = self._waiting
-        for succ in self.dag.succs[task]:
+        ptr = self._succ_ptr
+        for succ in self._succ_idx[ptr[tid] : ptr[tid + 1]]:
             left = waiting[succ] - 1
             waiting[succ] = left
             if left == 0:
@@ -594,8 +618,9 @@ class SerialRuntime(TaskGraphRuntime):
         workspace = run.workspace()
         execute, complete = run.execute, run.complete
         with blas_threads(1):
-            while (task := run.pop()) is not None:
-                if complete(task, execute(task, workspace, "serial")):
+            while (ready := run.pop()) is not None:
+                tid, task = ready
+                if complete(tid, execute(task, workspace, "serial")):
                     run.checkpoint("serial")
 
 

@@ -126,8 +126,9 @@ class ThreadedRuntime(TaskGraphRuntime):
             cancel.set()
             all_done.set()
 
-        def pop_task() -> Task | None:
-            """Highest-rank ready task; None when the run is over.
+        def pop_task() -> tuple[int, Task] | None:
+            """``(task id, task)`` of the highest-rank ready task; None
+            when the run is over.
 
             Blocks while nothing is ready or dispatch is paused for a
             checkpoint; increments ``inflight`` atomically with the pop
@@ -138,15 +139,16 @@ class ThreadedRuntime(TaskGraphRuntime):
                 while True:
                     if cancel.is_set() or stop:
                         return None
-                    task = None if paused else run.pop()
-                    if task is not None:
+                    ready = None if paused else run.pop()
+                    if ready is not None:
                         inflight += 1
-                        return task
+                        return ready
                     cond.wait()
 
         def worker(device: str, workspace) -> None:
             nonlocal inflight, paused
-            while (task := pop_task()) is not None:
+            while (ready := pop_task()) is not None:
+                tid, task = ready
                 try:
                     produced = run.execute(task, workspace, device)
                 except BaseException as exc:  # propagate to the caller
@@ -159,7 +161,7 @@ class ThreadedRuntime(TaskGraphRuntime):
                     return
                 with cond:
                     inflight -= 1
-                    due = run.complete(task, produced)
+                    due = run.complete(tid, produced)
                     finished = run.done == run.total
                     if due and not finished and not cancel.is_set():
                         # Stop the world: block new dispatch, drain

@@ -14,7 +14,10 @@ from repro.dag import (
     task_counts_total,
 )
 from repro.dag.analysis import dag_step_counts, per_panel_ready_updates
-from repro.dag.builder import task_accesses
+from repro.dag import builder
+from repro.dag.builder import TiledQRDag, task_accesses
+from repro.dag.solve import SolveDag
+from repro.dag.trees import tree_names
 from repro.dag.export import to_dot, to_networkx
 from repro.errors import DAGError
 
@@ -243,3 +246,81 @@ class TestExport:
         assert dot.startswith("digraph")
         for t in dag.tasks:
             assert t.label() in dot
+
+
+class TestSharedDag:
+    """``build_dag`` hands out one immutable DAG per shape."""
+
+    def test_same_key_returns_the_same_object(self):
+        dag = build_dag(5, 4, "flat")
+        assert build_dag(5, 4, "flat") is dag
+        assert build_dag(5, 4, "TS", batch_updates=False) is dag  # alias
+
+    def test_every_tree_and_batch_flag_gets_its_own_dag(self):
+        keys = [(tree, batch) for tree in tree_names() for batch in (False, True)]
+        dags = [build_dag(5, 4, tree, batch) for tree, batch in keys]
+        assert len({id(d) for d in dags}) == len(keys)
+        for dag, (tree, batch) in zip(dags, keys):
+            assert (dag.elimination, dag.batch_updates) == (tree, batch)
+            assert build_dag(5, 4, tree, batch) is dag
+
+    def test_cache_is_bounded_and_evicts_the_oldest_shape(self, monkeypatch):
+        budget = 200
+        monkeypatch.setattr(builder, "DAG_CACHE_TASKS", budget)
+        first = build_dag(2, 41)
+        assert build_dag(2, 41) is first
+        for q in range(42, 42 + budget // 42 + 1):
+            newest = build_dag(1, q)
+        assert sum(map(len, builder._cache.values())) <= budget
+        assert build_dag(1, q) is newest
+        again = build_dag(2, 41)
+        assert again is not first
+        assert again.tasks == first.tasks and again.succ_idx == first.succ_idx
+
+    def test_dag_over_the_budget_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(builder, "DAG_CACHE_TASKS", 10)
+        big = build_dag(4, 4)
+        assert len(big) > 10
+        assert build_dag(4, 4) is not big
+        assert sum(map(len, builder._cache.values())) <= 10
+
+    def test_shared_dag_cannot_be_mutated(self):
+        dag = build_dag(3, 3)
+        t = dag.tasks[0]
+        with pytest.raises(AttributeError):
+            dag.tasks.append(t)
+        with pytest.raises(TypeError):
+            dag.tasks[0] = t
+        with pytest.raises(TypeError):
+            dag.preds[t] = frozenset()
+        with pytest.raises(AttributeError):
+            dag.succs[t].add(t)
+        order, position = dag.priority(16)
+        arrays = (
+            dag.pred_ptr, dag.pred_idx, dag.succ_ptr, dag.succ_idx,
+            dag.indegree, order, position,
+        )
+        for arr in arrays:
+            with pytest.raises(TypeError):
+                arr[0] = 1
+        for name in ("tasks", "succ_idx", "indegree", "elimination"):
+            with pytest.raises(AttributeError):
+                setattr(dag, name, ())
+
+    def test_id_arrays_describe_the_task_views(self):
+        dag = build_dag(4, 3, "greedy")
+        dag.validate()
+        for tid, task in enumerate(dag.tasks):
+            assert dag.index[task] == tid
+            assert dag.preds[task] == {dag.tasks[d] for d in dag.pred_ids(tid)}
+            assert dag.succs[task] == {dag.tasks[s] for s in dag.succ_ids(tid)}
+            assert dag.indegree[tid] == len(dag.preds[task])
+
+    def test_direct_construction_builds_fresh_dags(self):
+        shared = build_dag(4, 3)
+        a, b = TiledQRDag(4, 3), TiledQRDag(4, 3)
+        assert a is not shared and a is not b
+        assert a.tasks == shared.tasks and a.pred_idx == shared.pred_idx
+        s1, s2 = SolveDag(4), SolveDag(4)
+        assert s1 is not s2 and s1.tasks == s2.tasks
+        s1.validate()
