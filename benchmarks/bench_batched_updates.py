@@ -16,9 +16,8 @@ orthogonal transforms, so repeating them on the same tiles keeps values
 bounded and timings data-independent — no per-round copies are timed.
 
 Acceptance gate: ``>= 1.5x`` update-phase speedup at tile size <= 64 on
-a >= 8x8 tile grid.  Every invocation (pytest or script) appends its
-cases to the ``BENCH_batched_updates.json`` trajectory file at the repo
-root, so speedups are tracked across commits::
+a >= 8x8 tile grid, asserted by the pytest case; the script prints a
+wider sweep::
 
     python benchmarks/bench_batched_updates.py            # full sweep
     pytest benchmarks/bench_batched_updates.py            # gate case only
@@ -26,13 +25,11 @@ root, so speedups are tracked across commits::
 
 from __future__ import annotations
 
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from repro.kernels import Workspace, geqrt, tsmqr, tsmqr_batch, tsqrt, unmqr, unmqr_batch
-from repro.observability import append_record
 from repro.tiles import TiledMatrix
 
 #: Gate case (grid >= 8x8, tile <= 64) and its required speedup.  Small
@@ -42,8 +39,6 @@ GATE_GRID = 8
 GATE_TILE = 16
 MIN_SPEEDUP = 1.5
 ROUNDS = 7
-
-TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_batched_updates.json"
 
 
 def _setup(t: int, b: int, seed: int = 0):
@@ -107,20 +102,8 @@ def bench_case(t: int, b: int, rounds: int = ROUNDS, seed: int = 0) -> dict:
     }
 
 
-def append_trajectory(cases: list[dict], path: Path = TRAJECTORY_PATH) -> Path:
-    """Append one run record to the JSON trajectory file.
-
-    The format is the shared perf-trajectory format — ``tiledqr perf
-    --check`` gates the ``speedup`` metric of every recorded case
-    against its trajectory baseline.
-    """
-    return append_record(
-        path, "batched_updates", cases, extra={"min_speedup_gate": MIN_SPEEDUP}
-    )
-
-
 def run(cases=((8, 16), (8, 32), (8, 64), (12, 32)), rounds: int = ROUNDS) -> list[dict]:
-    """Run a sweep, print it, append to the trajectory file."""
+    """Run a sweep and print it."""
     results = [bench_case(t, b, rounds) for t, b in cases]
     for c in results:
         print(
@@ -129,18 +112,15 @@ def run(cases=((8, 16), (8, 32), (8, 64), (12, 32)), rounds: int = ROUNDS) -> li
             f"batched {c['batched_seconds'] * 1e3:8.3f} ms  "
             f"speedup {c['speedup']:.2f}x"
         )
-    out = append_trajectory(results)
-    print(f"trajectory appended to {out}")
     return results
 
 
 def test_batched_update_speedup(benchmark):
-    """Gate: batching the gate case is >= 1.5x faster, recorded on disk."""
+    """Gate: batching the gate case is >= 1.5x faster."""
     case = benchmark.pedantic(
         bench_case, args=(GATE_GRID, GATE_TILE), rounds=1, iterations=1
     )
     benchmark.extra_info.update(case)
-    append_trajectory([case])
     print(
         f"\ngrid {case['grid']}x{case['grid']} b={case['tile_size']}: "
         f"per-tile {case['per_tile_seconds'] * 1e3:.3f} ms, "

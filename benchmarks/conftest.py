@@ -1,10 +1,15 @@
 """Shared benchmark configuration.
 
-Every ``bench_*`` module regenerates one paper table/figure by calling
-the matching :mod:`repro.experiments` driver inside pytest-benchmark.
-The regenerated rows are attached to the benchmark's ``extra_info`` and
-printed, so ``pytest benchmarks/ --benchmark-only -s`` reproduces the
-paper's evaluation section in one go.
+Most ``bench_*`` modules regenerate one paper table/figure by calling
+the matching :mod:`repro.experiments` driver through
+:func:`run_experiment_benchmark`.  The regenerated rows are attached to
+the benchmark's ``extra_info`` and printed, so ``pytest benchmarks/
+--benchmark-only -s`` reproduces the paper's evaluation section in one
+go.  The others time the real numeric runtimes instead
+(``bench_numeric_factorization``, ``bench_batched_updates``,
+``bench_observability_overhead``); the last two assert their speedup and
+overhead gates in place.  The repo's performance record is the layer
+ledger in ``benchmarks/ledger/``.
 
 Set ``REPRO_BENCH_FULL=1`` to run the paper's full sweeps (matrix sizes
 up to 16000); the default quick sweeps keep the whole harness under a
@@ -16,12 +21,6 @@ from __future__ import annotations
 import os
 
 import pytest
-
-
-def pytest_collection_modifyitems(items):
-    # Benchmarks live here; plain `pytest benchmarks/` without
-    # --benchmark-only still runs them once each, which is fine.
-    pass
 
 
 @pytest.fixture(scope="session")

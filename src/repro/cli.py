@@ -30,8 +30,6 @@ Subcommands:
   mid-run) and render the same dashboard from it.
 * ``metrics --from-trace run.jsonl`` — rebuild a metrics registry from
   a saved trace and print it in Prometheus text exposition format.
-* ``perf`` — compare the newest ``BENCH_*.json`` points against their
-  trajectory baselines (``--check`` gates CI).
 * ``backends`` — list the registered kernel backends; ``--check`` runs
   the cross-backend conformance harness (every backend vs the reference
   oracle) and exits nonzero on any mismatch.
@@ -963,30 +961,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from pathlib import Path
-
-    from .errors import ObservabilityError
-    from .observability import compare_trajectories
-
-    paths = [Path(p) for p in args.paths] if args.paths else sorted(
-        Path.cwd().glob("BENCH_*.json")
-    )
-    if not paths:
-        print("no BENCH_*.json trajectories found", file=sys.stderr)
-        return 2 if args.check else 0
-    try:
-        report = compare_trajectories(paths, threshold=args.threshold)
-    except ObservabilityError as exc:
-        print(f"perf check failed to read trajectories: {exc}", file=sys.stderr)
-        return 2
-    print(f"trajectories: {', '.join(str(p) for p in paths)}")
-    print(report.to_text())
-    if args.check and not report.ok:
-        return 1
-    return 0
-
-
 def _cmd_report(args) -> int:
     from .experiments.report import generate_report
 
@@ -1432,29 +1406,6 @@ def main(argv: list[str] | None = None) -> int:
         "to this path",
     )
     p_back.set_defaults(func=_cmd_backends)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="compare the newest BENCH_*.json points against their "
-        "trajectory baselines",
-    )
-    p_perf.add_argument(
-        "paths",
-        nargs="*",
-        help="trajectory files (default: BENCH_*.json in the current directory)",
-    )
-    p_perf.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when a gated metric regressed beyond the threshold",
-    )
-    p_perf.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="relative change counting as a regression (default: 0.20)",
-    )
-    p_perf.set_defaults(func=_cmd_perf)
 
     p_check = sub.add_parser("selfcheck", help="quick install sanity battery")
     p_check.set_defaults(func=_cmd_selfcheck)

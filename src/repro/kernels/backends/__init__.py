@@ -65,9 +65,8 @@ class KernelBackend(Protocol):
 
     name: str
     description: str
-    #: True when the backend involves ahead-of-time/JIT compilation —
-    #: the performance gate in ``benchmarks/bench_backend_kernels.py``
-    #: only applies to compiled backends.
+    #: True when the backend involves ahead-of-time/JIT compilation;
+    #: reported by ``tiledqr backends`` and ``backend_info``.
     compiled: bool
     #: True when the backend guarantees *bit-identical* results to the
     #: reference backend (same arithmetic, possibly regrouped only along

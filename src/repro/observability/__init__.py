@@ -37,14 +37,6 @@ from .decisions import (
 )
 from .export import dump_jsonl, load_jsonl, provenance_meta, trace_lines, write_jsonl
 from .metrics import KERNEL_FLOPS, Counter, Gauge, Histogram, MetricsRegistry, kernel_flops
-from .perf import (
-    GatedMetric,
-    PerfReport,
-    append_record,
-    compare_trajectories,
-    compare_trajectory,
-    load_trajectory,
-)
 from .live import (
     HeartbeatMonitor,
     JsonlStreamSink,
@@ -104,12 +96,6 @@ __all__ = [
     "Candidate",
     "device_step_inputs",
     "explain_plan",
-    "PerfReport",
-    "GatedMetric",
-    "append_record",
-    "load_trajectory",
-    "compare_trajectory",
-    "compare_trajectories",
     "TelemetryBus",
     "LiveEvent",
     "HeartbeatMonitor",

@@ -58,6 +58,8 @@ class TiledMatrix:
                     )
         self._tiles = tiles
         self._b = b
+        # plain ints: tile() bounds-checks against them on every call
+        self._p, self._q = len(tiles), len(tiles[0])
         self._rowbufs: list[np.ndarray] | None = None
         self._row_part = Partition(rows, b)
         self._col_part = Partition(cols, b)
@@ -165,15 +167,15 @@ class TiledMatrix:
     @property
     def grid_shape(self) -> tuple[int, int]:
         """Tile-grid shape ``(p, q)``."""
-        return (len(self._tiles), len(self._tiles[0]))
+        return (self._p, self._q)
 
     @property
     def grid_rows(self) -> int:
-        return len(self._tiles)
+        return self._p
 
     @property
     def grid_cols(self) -> int:
-        return len(self._tiles[0])
+        return self._q
 
     @property
     def dtype(self):
@@ -198,7 +200,7 @@ class TiledMatrix:
         this.  In row-major storage mode the view is a column slice of
         the row's contiguous buffer rather than an owned array.
         """
-        if not (0 <= i < self.grid_rows and 0 <= j < self.grid_cols):
+        if not (0 <= i < self._p and 0 <= j < self._q):
             raise TilingError(
                 f"tile ({i},{j}) out of range for grid {self.grid_shape}"
             )

@@ -197,49 +197,6 @@ class TestTraceExportCLI:
         assert "main_device" in stages and "device_count" in stages
 
 
-class TestPerfCLI:
-    def _write(self, path, speedups):
-        from repro.observability import append_record
-
-        for s in speedups:
-            append_record(
-                path, "batched_updates",
-                [{"grid": 8, "tile_size": 16, "speedup": s}],
-            )
-
-    def test_perf_ok_exit_zero(self, capsys, tmp_path):
-        p = tmp_path / "BENCH_x.json"
-        self._write(p, [3.0, 3.1])
-        assert main(["perf", str(p), "--check"]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_perf_regression_exit_nonzero(self, capsys, tmp_path):
-        p = tmp_path / "BENCH_x.json"
-        self._write(p, [3.0, 3.0, 2.0])  # 33% drop
-        assert main(["perf", str(p), "--check"]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_perf_committed_trajectories_pass(self, capsys):
-        """The repo's committed BENCH_*.json must be regression-free."""
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parent.parent
-        paths = sorted(repo_root.glob("BENCH_*.json"))
-        assert paths, "committed benchmark trajectories are missing"
-        assert main(["perf", *[str(p) for p in paths], "--check"]) == 0
-
-    def test_perf_no_trajectories(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["perf", "--check"]) == 2
-        assert main(["perf"]) == 0
-
-    def test_perf_threshold_flag(self, tmp_path):
-        p = tmp_path / "BENCH_x.json"
-        self._write(p, [3.0, 2.8])  # ~7% drop
-        assert main(["perf", str(p), "--check", "--threshold", "0.05"]) == 1
-        assert main(["perf", str(p), "--check", "--threshold", "0.20"]) == 0
-
-
 class TestExitCodes:
     """Each failure class maps to its own documented exit code.
 

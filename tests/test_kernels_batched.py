@@ -398,7 +398,7 @@ class TestGeqrtCopies:
 
 
 class TestBenchmarkSmoke:
-    def test_bench_batched_updates_harness(self, tmp_path):
+    def test_bench_batched_updates_harness(self):
         path = (
             Path(__file__).resolve().parent.parent
             / "benchmarks"
@@ -409,11 +409,4 @@ class TestBenchmarkSmoke:
         spec.loader.exec_module(mod)
         case = mod.bench_case(3, 8, rounds=1)
         assert case["per_tile_seconds"] > 0 and case["batched_seconds"] > 0
-        out = tmp_path / "BENCH_batched_updates.json"
-        mod.append_trajectory([case], out)
-        mod.append_trajectory([case], out)  # appends, not overwrites
-        import json
-
-        history = json.loads(out.read_text())
-        assert len(history) == 2
-        assert history[0]["cases"][0]["grid"] == 3
+        assert case["grid"] == 3 and case["tile_size"] == 8

@@ -1,11 +1,11 @@
 """Tests for the measure -> model -> schedule loop.
 
 Covers the kernel profile store (ingest, merge laws, timing-model
-round-trip), the scheduler decision audit (Alg. 2/3/4 records and
-``explain_plan``), and the perf-regression tracker — including the
-end-to-end loop the PR exists for: a traced real factorization feeds a
-profile store, whose calibrated timing models drive the paper's
-scheduling algorithms, whose decisions the audit explains.
+round-trip) and the scheduler decision audit (Alg. 2/3/4 records and
+``explain_plan``), including the end-to-end loop: a traced real
+factorization feeds a profile store, whose calibrated timing models
+drive the paper's scheduling algorithms, whose decisions the audit
+explains.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from repro.observability import (
     MetricsRegistry,
     ProfileStore,
     Tracer,
-    append_record,
-    compare_trajectory,
     expand_batched,
     explain_plan,
     kernel_times,
@@ -425,73 +423,3 @@ class TestEndToEndLoop:
         assert set(system.device_ids) == set(base.device_ids)
         assert system.device("cpu-0").time(Step.T, 16) != base.device("cpu-0").time(Step.T, 16)
         assert system.device("gtx580-0").time(Step.T, 16) == base.device("gtx580-0").time(Step.T, 16)
-
-
-class TestPerfTracker:
-    def _write(self, path, speedups):
-        for s in speedups:
-            append_record(
-                path,
-                "batched_updates",
-                [{"grid": 8, "tile_size": 16, "speedup": s}],
-            )
-
-    def test_improvement_passes(self, tmp_path):
-        p = tmp_path / "BENCH_batched_updates.json"
-        self._write(p, [3.0, 3.2, 3.4])
-        report = compare_trajectory(p)
-        assert report.ok
-        assert report.rows[0].baseline == pytest.approx(3.1)
-        assert report.rows[0].newest == pytest.approx(3.4)
-
-    def test_injected_regression_fails(self, tmp_path):
-        p = tmp_path / "BENCH_batched_updates.json"
-        self._write(p, [3.0, 3.2, 3.1 * 0.75])  # >20% below the median baseline
-        report = compare_trajectory(p)
-        assert not report.ok
-        assert report.regressions[0].metric == "speedup"
-        assert "REGRESSED" in report.to_text()
-
-    def test_small_wobble_within_threshold_passes(self, tmp_path):
-        p = tmp_path / "BENCH_batched_updates.json"
-        self._write(p, [3.0, 3.2, 2.9])
-        assert compare_trajectory(p).ok
-
-    def test_lower_is_better_direction(self, tmp_path, monkeypatch):
-        from repro.observability import perf
-
-        monkeypatch.setitem(
-            perf.GATES,
-            "traced_run",
-            perf.GatedMetric("makespan_seconds", False, ("runtime", "n", "tile_size")),
-        )
-        p = tmp_path / "BENCH_traced.json"
-        for s in (1.0, 1.0, 1.5):
-            append_record(
-                p,
-                "traced_run",
-                [{"runtime": "serial", "n": 96, "tile_size": 16, "makespan_seconds": s}],
-            )
-        report = compare_trajectory(p)
-        assert not report.ok  # makespan rose 50%
-
-    def test_single_record_skipped(self, tmp_path):
-        p = tmp_path / "BENCH_batched_updates.json"
-        self._write(p, [3.0])
-        report = compare_trajectory(p)
-        assert report.ok
-        assert report.skipped
-
-    def test_unknown_benchmark_is_informational(self, tmp_path):
-        p = tmp_path / "BENCH_custom.json"
-        for v in (1.0, 10.0):
-            append_record(p, "custom_thing", [{"case": "x", "value": v}])
-        report = compare_trajectory(p)
-        assert report.ok  # 10x delta, but nothing gated
-        assert report.rows and not report.rows[0].gated
-
-    def test_load_rejects_garbage(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("not json")
-        with pytest.raises(ObservabilityError):
-            compare_trajectory(p)

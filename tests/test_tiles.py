@@ -120,8 +120,10 @@ class TestTiledMatrix:
 
     def test_tile_out_of_range(self):
         t = TiledMatrix.zeros(32, 32, 16)
-        with pytest.raises(TilingError):
-            t.tile(2, 0)
+        # negative indices included: a bare list index would accept -1
+        for i, j in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+            with pytest.raises(TilingError):
+                t.tile(i, j)
 
     def test_column_tiles(self, rng):
         t = TiledMatrix.from_dense(rng.standard_normal((48, 48)), 16)
