@@ -11,8 +11,8 @@ Shipped backends
 ----------------
 ``reference``
     The kernels of :mod:`repro.kernels` — LAPACK's ``?geqrt``/``?tpqrt``
-    for the factorizations and NumPy GEMMs for the updates; the
-    conformance oracle every other backend is checked against.
+    for the factorizations and ``?gemqrt``/``?tpmqrt`` for the updates;
+    the conformance oracle every other backend is checked against.
 
 Every registered backend must pass the differential conformance harness
 (:mod:`repro.kernels.backends.conformance`, ``tiledqr backends --check``,

@@ -1,7 +1,8 @@
 """The ``reference`` backend: the :mod:`repro.kernels` kernels, unchanged.
 
-GEQRT/TSQRT/TTQRT call LAPACK's ``?geqrt``/``?tpqrt`` in NumPy's
-OpenBLAS (Python loops without it); the updates are NumPy GEMMs.  This
+GEQRT/TSQRT/TTQRT call LAPACK's ``?geqrt``/``?tpqrt`` and the updates
+``?gemqrt``/``?tpmqrt`` in NumPy's OpenBLAS (Python loops and NumPy
+GEMMs without it).  This
 is a thin packaging of the existing :mod:`repro.kernels` functions
 as a :class:`~repro.kernels.backends.FunctionBackend` — the functions
 are the *same objects* the library has always exported, so code calling
@@ -29,7 +30,7 @@ def _make():
 
     return FunctionBackend(
         name="reference",
-        description="oracle kernels (repro.kernels): LAPACK factorizations, NumPy updates",
+        description="oracle kernels (repro.kernels): LAPACK's PLASMA tile kernels",
         geqrt=geqrt,
         tsqrt=tsqrt,
         ttqrt=ttqrt,

@@ -9,9 +9,9 @@ allocator overhead.
 
 The batched kernels apply one factor to a *horizontally stacked row
 panel* ``C = [C_{k+1} | ... | C_{q-1}]`` of shape ``(b, (q-k-1)*b)`` in
-the same three GEMMs the per-tile kernel uses — just ``q-k-1`` times
-wider.  Column ``j`` of a GEMM result depends only on column ``j`` of
-the right-hand operand, so the batched result is tile-for-tile the same
+the same LAPACK call (or three GEMMs) the per-tile kernel makes — just
+``q-k-1`` times wider.  Column ``j`` of the result depends only on
+column ``j`` of ``C``, so the batched result is tile-for-tile the same
 arithmetic as the per-tile loop (Buttari et al. and Agullo et al. obtain
 their multicore performance from exactly this fusion).
 
@@ -26,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelError
-from .blockreflector import apply_block_reflector
 from .geqrt import GEQRTResult
 from .tsmqr import tsmqr
 from .tsqrt import TSQRTResult
+from .unmqr import unmqr
 from .workspace import Workspace
 
 
@@ -64,9 +64,7 @@ def unmqr_batch(
             f"unmqr_batch: panel of shape {panel.shape} incompatible with "
             f"factors of shape {factors.v.shape}"
         )
-    return apply_block_reflector(
-        factors.v, factors.tf, panel, transpose=transpose, workspace=workspace
-    )
+    return unmqr(factors, panel, transpose=transpose, workspace=workspace)
 
 
 def tsmqr_batch(

@@ -8,8 +8,9 @@ the product of the elementary reflectors is
 with ``Tf`` upper triangular (LAPACK ``larft`` with direction 'F', storage
 'C').  Applying the transpose swaps ``Tf`` for ``Tf.T`` (``larfb``).
 
-The tile kernels in this package all reduce to these two routines; they
-are therefore the hot spots and are written as a handful of BLAS-3 calls.
+These are the NumPy forms: the Python factorization loops build ``Tf``
+here, and the update kernels apply it here when LAPACK's ``?gemqrt``
+cannot (:mod:`repro.kernels.lapack`).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def apply_block_reflector(
     transpose: bool,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """Apply ``I - V Tf V.T`` (or its transpose) to ``C`` from the left.
+    """Apply ``Q = I - V Tf V.T`` (or its transpose) to ``C`` from the left.
 
     ``C`` is updated in place and returned.  ``C`` may be arbitrarily
     wide — this is the batched-update primitive: one call over a
@@ -80,12 +81,16 @@ def apply_block_reflector(
     v:
         ``(m, k)`` Householder vectors.
     tf:
-        ``(k, k)`` upper-triangular compact-WY factor.
+        ``(k, k)`` upper-triangular compact-WY factor, or LAPACK's
+        ``(nb, k)`` block-T (:mod:`repro.kernels.lapack`).  With
+        ``nb < k``, ``Q`` is applied block by block, each block of
+        ``nb`` reflectors skipping the rows above its first one, where
+        a unit-lower-trapezoidal ``V`` (GEQRT's) is zero.
     c:
         ``(m, n)`` target block.
     transpose:
-        ``True`` applies ``Q.T = I - V Tf.T V.T`` (factorization
-        direction); ``False`` applies ``Q`` (Q-building direction).
+        ``True`` applies ``Q.T`` (factorization direction); ``False``
+        applies ``Q`` (Q-building direction).
     workspace:
         Scratch arena for the three products; the caller's thread-local
         default when omitted.  All GEMMs run through
@@ -98,25 +103,44 @@ def apply_block_reflector(
         raise KernelError(
             f"incompatible shapes for block reflector: V {v.shape}, C {c.shape}"
         )
-    k = v.shape[1]
-    if tf.shape != (k, k):
-        raise KernelError(f"Tf must have shape ({k}, {k}), got {tf.shape}")
-    tf_op = tf.T if transpose else tf
+    check_t(tf, v.shape[1])
     ws = workspace if workspace is not None else thread_workspace()
-    if v.dtype != c.dtype or tf.dtype != c.dtype:
+    mixed = v.dtype != c.dtype or tf.dtype != c.dtype
+    if mixed:
         # Mixed dtypes would make matmul's result dtype differ from the
         # scratch; rare (tests only), so take the allocating path.
         # Counted so the hot path can prove it never lands here.
         ws.note_fallback()
-        w = tf_op @ (v.T @ c)
-        c -= v @ w
-        return c
     n = c.shape[1]
-    w = ws.temp("abr.w", (k, n), c.dtype)
-    np.matmul(v.T, c, out=w)
-    w2 = ws.temp("abr.w2", (k, n), c.dtype)
-    np.matmul(tf_op, w, out=w2)
-    vw = ws.temp("abr.vw", c.shape, c.dtype)
-    np.matmul(v, w2, out=vw)
-    np.subtract(c, vw, out=c)
+    for j0, j1, t in t_blocks(tf, transpose):
+        vj, cj = v[j0:, j0:j1], c[j0:]
+        if mixed:
+            cj -= vj @ (t @ (vj.T @ cj))
+            continue
+        w = ws.temp("abr.w", (j1 - j0, n), c.dtype)
+        np.matmul(vj.T, cj, out=w)
+        w2 = ws.temp("abr.w2", (j1 - j0, n), c.dtype)
+        np.matmul(t, w, out=w2)
+        vw = ws.temp("abr.vw", cj.shape, c.dtype)
+        np.matmul(vj, w2, out=vw)
+        np.subtract(cj, vw, out=cj)
     return c
+
+
+def check_t(tf: np.ndarray, k: int) -> None:
+    """Raise unless ``tf`` is a ``(nb, k)`` block-T, ``1 <= nb <= k``
+    (or ``(0, 0)``): the LAPACK kernels read ``nb * k`` entries."""
+    shape = tf.shape
+    if len(shape) != 2 or shape[1] != k or not (0 < shape[0] <= k or shape == (0, 0)):
+        raise KernelError(f"Tf must have shape (nb, {k}) with 1 <= nb <= {k}, got {tf.shape}")
+
+
+def t_blocks(tf: np.ndarray, transpose: bool):
+    """``(j0, j1, op(T_j))`` for each block of a ``(nb, k)`` block-T, in
+    the order applying ``Q.T`` (``transpose``) or ``Q`` takes them."""
+    nb, k = tf.shape
+    starts = range(0, k, nb) if nb else ()
+    for j0 in starts if transpose else reversed(starts):
+        j1 = min(j0 + nb, k)
+        t = tf[: j1 - j0, j0:j1]
+        yield j0, j1, (t.T if transpose else t)

@@ -5,12 +5,13 @@ tile with ``R_t`` (Eq. 5).  The orthogonal factor is kept in compact form
 (Householder vectors ``V`` + compact-WY ``Tf``) so the update kernels can
 apply it cheaply.  float32/float64 tiles go to LAPACK's ``?geqrt``
 (:mod:`repro.kernels.lapack`); the Python panel loop below is the
-fallback without it and the oracle in tests.
+fallback without it and the oracle in tests.  Both store ``Tf`` in
+LAPACK's ``(nb, n)`` block layout, ``nb = min(n, lapack.IB)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +34,23 @@ class GEQRTResult:
         ``(m, n)`` unit-lower-trapezoidal Householder vectors
         (``v[i, i] == 1``, zeros above the diagonal).
     tf:
-        ``(n, n)`` upper-triangular compact-WY factor with
-        ``Q = I - V Tf V.T``.
+        ``(nb, n)`` compact-WY block-T (see :mod:`repro.kernels.lapack`):
+        ``Q = Q_1 Q_2 ...`` with ``Q_j = I - V_j T_j V_j.T`` over blocks
+        of ``nb`` reflectors.  A full ``(n, n)`` T (``nb = n``, as older
+        checkpoints hold) is the one-block case, ``Q = I - V Tf V.T``.
     taus:
-        Length-``n`` reflector scalars (``tf``'s diagonal).
+        Length-``n`` reflector scalars (``tf[j % nb, j]``).
     """
 
     r: np.ndarray
     v: np.ndarray
     tf: np.ndarray
     taus: np.ndarray
+    #: LAPACK operand addresses, taken on first use; never pickled.
+    _lapack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_lapack": None}
 
     @property
     def tile_shape(self) -> tuple[int, int]:
@@ -50,10 +58,9 @@ class GEQRTResult:
 
     def q_dense(self) -> np.ndarray:
         """Densify ``Q`` (tests/teaching only — ``O(m^2 n)``)."""
-        m = self.v.shape[0]
-        q = np.eye(m, dtype=self.v.dtype)
-        apply_block_reflector(self.v, self.tf, q, transpose=False)
-        return q
+        from .unmqr import unmqr
+
+        return unmqr(self, np.eye(self.v.shape[0], dtype=self.v.dtype), transpose=False)
 
 
 #: Tiles wider than this are factored panel-blocked by default.
@@ -121,10 +128,10 @@ def geqrt(a: np.ndarray, inner_block: int | None = None) -> GEQRTResult:
     dtype = a.dtype if a.dtype.kind == "f" else np.dtype(np.float64)
     if n and (out := lapack.geqrt(a, dtype)) is not None:
         r, tf = out
-        v = np.tril(r, -1)
+        v = np.triu(r.T, 1).T  # Fortran order, as ?gemqrt reads it
         r -= v  # exact zeros below the diagonal
         np.fill_diagonal(v, 1.0)
-        return GEQRTResult(r=r, v=v, tf=tf, taus=tf.diagonal().copy())
+        return GEQRTResult(r=r, v=v, tf=tf, taus=lapack.taus_of(tf))
 
     r = a.astype(dtype)  # always a copy
     v = np.zeros((m, n), dtype=r.dtype)
@@ -136,5 +143,5 @@ def geqrt(a: np.ndarray, inner_block: int | None = None) -> GEQRTResult:
             panel_v = v[j0:, j0:j1]
             panel_tf = build_t_factor(panel_v, taus[j0:j1])
             apply_block_reflector(panel_v, panel_tf, r[j0:, j1:], transpose=True)
-    tf = build_t_factor(v, taus)
+    tf = lapack.to_block_t(build_t_factor(v, taus))
     return GEQRTResult(r=r, v=v, tf=tf, taus=taus)

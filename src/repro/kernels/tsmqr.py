@@ -10,17 +10,27 @@ into three small GEMMs:
     C1 -= W'
     C2 -= V2 W'
 
-This single routine serves both the TS and TT kinds (TTMQR in
+with ``op(Tf)`` taken block by block for LAPACK's block-T.  This single
+routine serves both the TS and TT kinds (TTMQR in
 :mod:`repro.kernels.ttmqr` is a thin structured wrapper).
+float32/float64 pairs go to LAPACK's ``?tpmqrt``
+(:mod:`repro.kernels.lapack`); the GEMMs above are the fallback without
+it, for mixed dtypes and for non-unit-stride rows.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..errors import KernelError
-from .tsqrt import TSQRTResult
+from . import lapack
+from .blockreflector import check_t, t_blocks
 from .workspace import Workspace, thread_workspace
+
+if TYPE_CHECKING:
+    from .tsqrt import TSQRTResult
 
 
 def tsmqr(
@@ -46,9 +56,9 @@ def tsmqr(
         ``True`` (default) applies ``Q^T`` (factorization direction),
         ``False`` applies ``Q`` (Q-building direction).
     workspace:
-        Scratch arena for the three GEMMs; the caller's thread-local
-        default when omitted, so no temporaries are heap-allocated per
-        call on the hot path.
+        Scratch arena for LAPACK's ``WORK`` and argument blocks, or the
+        three GEMMs; the caller's thread-local default when omitted, so
+        nothing is heap-allocated per call on the hot path.
 
     Returns
     -------
@@ -58,7 +68,7 @@ def tsmqr(
     c1 = np.asarray(c1)
     c2 = np.asarray(c2)
     v2 = factors.v2
-    b = factors.r.shape[0]
+    b = v2.shape[1]
     if c1.ndim != 2 or c1.shape[0] != b:
         raise KernelError(f"c1 must have {b} rows, got shape {c1.shape}")
     if c2.ndim != 2 or c2.shape[0] != v2.shape[0]:
@@ -67,26 +77,32 @@ def tsmqr(
         raise KernelError(
             f"c1/c2 column counts differ: {c1.shape[1]} vs {c2.shape[1]}"
         )
-    tf = factors.tf.T if transpose else factors.tf
+    check_t(factors.tf, b)
     ws = workspace if workspace is not None else thread_workspace()
+    if lapack.tpmqrt(factors, c1, c2, transpose, ws):
+        return c1, c2
+    tf = factors.tf
     if c1.dtype != c2.dtype or v2.dtype != c1.dtype or tf.dtype != c1.dtype:
         # Mixed dtypes (tests only): matmul-out scratch would mismatch
         # the promoted result dtype, so fall back to allocating GEMMs.
         # Counted so the hot path can prove it never lands here.
         ws.note_fallback()
-        w = c1 + v2.T @ c2
-        w = tf @ w
-        c1 -= w
-        c2 -= v2 @ w
+        for j0, j1, t in t_blocks(tf, transpose):
+            vj = v2[:, j0:j1]
+            w = t @ (c1[j0:j1] + vj.T @ c2)
+            c1[j0:j1] -= w
+            c2 -= vj @ w
         return c1, c2
     n = c1.shape[1]
-    w = ws.temp("tsmqr.w", (b, n), c1.dtype)
-    np.matmul(v2.T, c2, out=w)
-    w += c1
-    w2 = ws.temp("tsmqr.w2", (b, n), c1.dtype)
-    np.matmul(tf, w, out=w2)
-    np.subtract(c1, w2, out=c1)
-    vw = ws.temp("tsmqr.vw", c2.shape, c2.dtype)
-    np.matmul(v2, w2, out=vw)
-    np.subtract(c2, vw, out=c2)
+    for j0, j1, t in t_blocks(tf, transpose):
+        vj, top = v2[:, j0:j1], c1[j0:j1]
+        w = ws.temp("tsmqr.w", (j1 - j0, n), c1.dtype)
+        np.matmul(vj.T, c2, out=w)
+        w += top
+        w2 = ws.temp("tsmqr.w2", (j1 - j0, n), c1.dtype)
+        np.matmul(t, w, out=w2)
+        np.subtract(top, w2, out=top)
+        vw = ws.temp("tsmqr.vw", c2.shape, c2.dtype)
+        np.matmul(vj, w2, out=vw)
+        np.subtract(c2, vw, out=c2)
     return c1, c2

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import KernelError
-from .blockreflector import apply_block_reflector
 from .geqrt import GEQRTResult, geqrt
+from .tsmqr import tsmqr
 from .tsqrt import TSQRTResult
 from .ttqrt import ttqrt
+from .unmqr import unmqr
 
 
 @dataclass
@@ -53,11 +54,9 @@ class TSQRResult:
         work, squeeze = self._as_work(x)
         n = self.shape[1]
         for (start, stop), f in zip(self.row_blocks, self.local):
-            apply_block_reflector(f.v, f.tf, work[start:stop], transpose=True)
+            unmqr(f, work[start:stop], transpose=True)
         for dst, src, f in self.tree:
-            top = self._head(dst, n)
-            bot = self._head(src, n)
-            self._apply_merge(f, work, top, bot, transpose=True)
+            tsmqr(f, work[self._head(dst, n)], work[self._head(src, n)], transpose=True)
         return work[:, 0] if squeeze else work
 
     def apply_q(self, x: np.ndarray) -> np.ndarray:
@@ -65,9 +64,9 @@ class TSQRResult:
         work, squeeze = self._as_work(x)
         n = self.shape[1]
         for dst, src, f in reversed(self.tree):
-            self._apply_merge(f, work, self._head(dst, n), self._head(src, n), transpose=False)
+            tsmqr(f, work[self._head(dst, n)], work[self._head(src, n)], transpose=False)
         for (start, stop), f in zip(self.row_blocks, self.local):
-            apply_block_reflector(f.v, f.tf, work[start:stop], transpose=False)
+            unmqr(f, work[start:stop], transpose=False)
         return work[:, 0] if squeeze else work
 
     def q_dense(self) -> np.ndarray:
@@ -93,17 +92,6 @@ class TSQRResult:
     def _head(self, block: int, n: int) -> slice:
         start, _stop = self.row_blocks[block]
         return slice(start, start + n)
-
-    @staticmethod
-    def _apply_merge(
-        f: TSQRTResult, work: np.ndarray, top: slice, bot: slice, transpose: bool
-    ) -> None:
-        v2 = f.v2
-        tf = f.tf.T if transpose else f.tf
-        w = work[top] + v2.T @ work[bot]
-        w = tf @ w
-        work[top] -= w
-        work[bot] -= v2 @ w
 
 
 def tsqr(a: np.ndarray, num_blocks: int | None = None) -> TSQRResult:

@@ -13,11 +13,12 @@ dense ``V2`` is stored.  The paper's TT ("triangle on top of triangle")
 variant lives in :mod:`repro.kernels.ttqrt` and shares this machinery.
 float32/float64 pairs go to LAPACK's ``?tpqrt`` (:mod:`repro.kernels.lapack`);
 the Python loop below is the fallback without it and the oracle in tests.
+Both store ``Tf`` in LAPACK's ``(nb, b)`` block layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +40,9 @@ class TSQRTResult:
         ``(m2, b)`` bottom parts of the Householder vectors (the top parts
         are implicitly the identity).  Upper triangular for the TT kind.
     tf:
-        ``(b, b)`` compact-WY factor for ``Q = I - V Tf V.T`` with
-        ``V = [I; V2]``.
+        ``(nb, b)`` compact-WY block-T for ``V = [I; V2]``, as in
+        :class:`~repro.kernels.geqrt.GEQRTResult` (a full ``(b, b)`` T
+        is the case ``nb = b``).
     taus:
         Length-``b`` reflector scalars.
     kind:
@@ -52,15 +54,19 @@ class TSQRTResult:
     tf: np.ndarray
     taus: np.ndarray
     kind: str = "TS"
+    #: LAPACK operand addresses, taken on first use; never pickled.
+    _lapack: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_lapack": None}
 
     def q_dense(self) -> np.ndarray:
         """Densify the stacked ``Q`` (tests/teaching only)."""
-        b = self.r.shape[0]
-        m2 = self.v2.shape[0]
-        v = np.vstack([np.eye(b, dtype=self.v2.dtype), self.v2])
+        from .tsmqr import tsmqr
+
+        m2, b = self.v2.shape
         q = np.eye(b + m2, dtype=self.v2.dtype)
-        w = self.tf @ (v.T @ q)
-        q -= v @ w
+        tsmqr(self, q[:b], q[b:], transpose=False)
         return q
 
 
@@ -91,7 +97,7 @@ def _stacked_factor(r1: np.ndarray, a2: np.ndarray, triangular_bottom: bool) -> 
     out = lapack.tpqrt(r1, a2, b if triangular_bottom else 0, dtype) if b and m2 else None
     if out is not None:
         r, v2, tf = out
-        return TSQRTResult(r=r, v2=v2, tf=tf, taus=tf.diagonal().copy(), kind=kind)
+        return TSQRTResult(r=r, v2=v2, tf=tf, taus=lapack.taus_of(tf), kind=kind)
 
     r = np.asarray(r1, dtype=dtype).copy()
     bot = np.asarray(a2, dtype=dtype).copy()
@@ -116,7 +122,7 @@ def _stacked_factor(r1: np.ndarray, a2: np.ndarray, triangular_bottom: bool) -> 
             bot[rows, k + 1 :] -= np.outer(z, w)
 
     v_full = np.vstack([np.eye(b, dtype=dtype), v2])
-    tf = build_t_factor(v_full, taus)
+    tf = lapack.to_block_t(build_t_factor(v_full, taus))
     return TSQRTResult(r=r, v2=v2, tf=tf, taus=taus, kind=kind)
 
 

@@ -4,17 +4,24 @@ After GEQRT factorizes the diagonal tile of a column, every tile to its
 right in the same tile row must be hit with ``Q_t^T`` (the paper writes the
 update as ``A_t <- Q_t A_t`` in Eq. 6 with ``Q_t`` the transforming factor;
 in the compact-WY convention used here that operator is
-``Q^T = I - V Tf^T V^T``).
+``Q^T = I - V Tf^T V^T``).  float32/float64 tiles go to LAPACK's
+``?gemqrt`` (:mod:`repro.kernels.lapack`); the NumPy block reflector is
+the fallback without it, for mixed dtypes and for non-unit-stride rows.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..errors import KernelError
-from .geqrt import GEQRTResult
-from .blockreflector import apply_block_reflector
-from .workspace import Workspace
+from . import lapack
+from .blockreflector import apply_block_reflector, check_t
+from .workspace import Workspace, thread_workspace
+
+if TYPE_CHECKING:
+    from .geqrt import GEQRTResult
 
 
 def unmqr(
@@ -38,7 +45,8 @@ def unmqr(
         used during the decomposition.  ``False`` applies ``Q`` — used
         when explicitly building the orthogonal factor.
     workspace:
-        Scratch arena for the GEMM temporaries (thread-local default).
+        Scratch arena for LAPACK's ``WORK`` and argument blocks, or the
+        NumPy GEMM temporaries (thread-local default).
     """
     c = np.asarray(c)
     if c.ndim != 2 or c.shape[0] != factors.v.shape[0]:
@@ -46,6 +54,8 @@ def unmqr(
             f"unmqr: tile of shape {c.shape} incompatible with factors of "
             f"shape {factors.v.shape}"
         )
-    return apply_block_reflector(
-        factors.v, factors.tf, c, transpose=transpose, workspace=workspace
-    )
+    check_t(factors.tf, factors.v.shape[1])
+    ws = workspace if workspace is not None else thread_workspace()
+    if not lapack.gemqrt(factors, c, transpose, ws):
+        apply_block_reflector(factors.v, factors.tf, c, transpose=transpose, workspace=ws)
+    return c

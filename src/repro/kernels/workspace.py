@@ -10,6 +10,10 @@ A :class:`Workspace` is *not* thread-safe by design: it is an arena one
 worker owns.  The runtimes hand each worker thread/process its own
 instance; code without an explicit workspace gets a thread-local one
 from :func:`thread_workspace`, which preserves the same ownership rule.
+The LAPACK kernels (:mod:`repro.kernels.lapack`) take their ``WORK``
+buffers (:meth:`Workspace.pointer`) and integer argument blocks
+(:attr:`Workspace.args`) from the same arena: LAPACK writes ``INFO``
+into the block, so sharing one between threads would race.
 """
 
 from __future__ import annotations
@@ -37,10 +41,18 @@ class Workspace:
     :func:`drain_fallbacks`.
     """
 
-    __slots__ = ("_buffers", "fallbacks")
+    __slots__ = ("_buffers", "_pointers", "args", "fallbacks")
+
+    #: Argument blocks kept before :attr:`args` is emptied (one per call
+    #: shape; a run uses a few dozen).
+    MAX_ARGS = 512
 
     def __init__(self):
         self._buffers: dict[tuple, np.ndarray] = {}
+        self._pointers: dict[tuple, tuple[np.ndarray, int]] = {}
+        #: LAPACK integer argument blocks keyed by call shape, owned by
+        #: :mod:`repro.kernels.lapack`.
+        self.args: dict[tuple, tuple] = {}
         self.fallbacks: int = 0
 
     def temp(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -61,10 +73,21 @@ class Workspace:
             self._buffers[key] = buf
         return buf[:n].reshape(shape)
 
+    def pointer(self, name: str, size: int, dtype: np.dtype) -> int:
+        """The address of a grow-only buffer of at least ``size``
+        elements (LAPACK's ``WORK``); names are separate from :meth:`temp`'s."""
+        key = (name, dtype)
+        entry = self._pointers.get(key)
+        if entry is None or entry[0].size < size:
+            buf = np.empty(max(size, 1), dtype=dtype)
+            entry = self._pointers[key] = (buf, buf.ctypes.data)
+        return entry[1]
+
     @property
     def nbytes(self) -> int:
         """Total bytes currently held by the arena."""
-        return sum(b.nbytes for b in self._buffers.values())
+        held = [*self._buffers.values(), *(buf for buf, _ in self._pointers.values())]
+        return sum(b.nbytes for b in held)
 
     def note_fallback(self) -> None:
         """Record one allocating (non-arena) kernel call."""
@@ -73,6 +96,8 @@ class Workspace:
     def clear(self) -> None:
         """Release every buffer (views handed out earlier stay valid)."""
         self._buffers.clear()
+        self._pointers.clear()
+        self.args.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Workspace(buffers={len(self._buffers)}, nbytes={self.nbytes})"

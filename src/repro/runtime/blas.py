@@ -1,5 +1,5 @@
 """NumPy's bundled OpenBLAS, reached through ctypes: its thread count and
-the LAPACK tile factorizations the reference kernels call
+the LAPACK tile kernels the reference backend calls
 (:mod:`repro.kernels.lapack`).
 
 One BLAS thread per kernel worker, as PLASMA runs it; unpinned, each
@@ -30,8 +30,13 @@ _NAMES = (
 )
 
 #: The LAPACK routines bound when the library exports them, with their
-#: argument counts (Fortran passes every argument by reference).
-LAPACK_ROUTINES = {"dgeqrt": 9, "sgeqrt": 9, "dtpqrt": 12, "stpqrt": 12}
+#: argument counts (Fortran passes every argument by reference).  The
+#: ``?mqrt`` counts include the lengths of their two one-character
+#: arguments, which gfortran passes by value after the others.
+LAPACK_ROUTINES = {
+    "dgeqrt": 9, "sgeqrt": 9, "dtpqrt": 12, "stpqrt": 12,
+    "dgemqrt": 16, "sgemqrt": 16, "dtpmqrt": 19, "stpmqrt": 19,
+}
 
 
 class OpenBLAS(NamedTuple):

@@ -15,9 +15,11 @@ import numpy as np
 from ..dag.tasks import Task, TaskKind
 from ..errors import ShapeError
 from ..kernels.geqrt import GEQRTResult
+from ..kernels.tsmqr import tsmqr
 from ..kernels.tsqrt import TSQRTResult
-from ..kernels.blockreflector import apply_block_reflector
+from ..kernels.unmqr import unmqr
 from ..tiles import TiledMatrix
+from .blas import blas_threads
 
 _Factors = Union[GEQRTResult, TSQRTResult]
 
@@ -55,18 +57,11 @@ class TiledQRFactorization:
         """Apply one logged transformation to padded dense rows of ``target``."""
         b = self.tile_size
         if task.kind is TaskKind.GEQRT:
-            rows = slice(task.row * b, task.row * b + b)
-            apply_block_reflector(factors.v, factors.tf, target[rows], transpose=transpose)
+            unmqr(factors, target[task.row * b : task.row * b + b], transpose=transpose)
             return
         # Elimination: stacked pair of tile rows.
-        top = slice(task.row2 * b, task.row2 * b + b)
-        bot = slice(task.row * b, task.row * b + b)
-        v2 = factors.v2
-        tf = factors.tf.T if transpose else factors.tf
-        w = target[top] + v2.T @ target[bot]
-        w = tf @ w
-        target[top] -= w
-        target[bot] -= v2 @ w
+        top = target[task.row2 * b : task.row2 * b + b]
+        tsmqr(factors, top, target[task.row * b : task.row * b + b], transpose=transpose)
 
     def _padded(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Zero-pad ``x``'s rows up to the tiled row extent."""
@@ -87,18 +82,23 @@ class TiledQRFactorization:
         return x, (1 if squeeze else 0)
 
     def apply_qt(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``Q^T @ x`` implicitly (never forming ``Q``)."""
+        """Compute ``Q^T @ x`` implicitly (never forming ``Q``).
+
+        Like a runtime, it runs the kernels under one BLAS pin (see
+        :mod:`repro.kernels.lapack`), not one per call."""
         work, squeeze = self._padded(x)
-        for task, factors in self.log:
-            self._apply_op(task, factors, work, transpose=True)
+        with blas_threads(1):
+            for task, factors in self.log:
+                self._apply_op(task, factors, work, transpose=True)
         out = work[: self.shape[0]]
         return out[:, 0] if squeeze else out
 
     def apply_q(self, x: np.ndarray) -> np.ndarray:
         """Compute ``Q @ x`` implicitly (reverse-order application)."""
         work, squeeze = self._padded(x)
-        for task, factors in reversed(self.log):
-            self._apply_op(task, factors, work, transpose=False)
+        with blas_threads(1):
+            for task, factors in reversed(self.log):
+                self._apply_op(task, factors, work, transpose=False)
         out = work[: self.shape[0]]
         return out[:, 0] if squeeze else out
 
@@ -118,8 +118,6 @@ class TiledQRFactorization:
         factorization used — so building Q is itself a tiled operation a
         heterogeneous runtime could distribute.
         """
-        from ..kernels import tsmqr, unmqr
-
         m = self.shape[0]
         b = self.tile_size
         q = TiledMatrix.identity(m, b, dtype=self.r.dtype)

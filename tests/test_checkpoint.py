@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.kernels import build_t_factor
+from repro.kernels.lapack import IB
 from repro.runtime import tiled_qr
 from repro.runtime.checkpoint import (
     CheckpointError,
@@ -36,6 +38,29 @@ class TestCheckpoint:
         g = load_factorization(path)
         x = rng.standard_normal(64)
         np.testing.assert_allclose(g.solve(a @ x), x, atol=1e-8)
+
+    def test_full_t_checkpoint_applies(self, rng, tmp_path):
+        # Checkpoints written before inner blocking hold each factor's
+        # full b x b T; rewrite one that way and apply it.
+        a = rng.standard_normal((128, 128))
+        f = tiled_qr(a, 64)
+        path = tmp_path / "fact.npz"
+        save_factorization(f, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        ops = [k[: -len("_tf")] for k in arrays if k.endswith("_tf")]
+        for op in ops:
+            v = arrays[f"{op}_v"]
+            if arrays[f"{op}_id"][0] != 0:  # TSQRT/TTQRT store V2 under V = [I; V2]
+                v = np.vstack([np.eye(v.shape[1]), v])
+            assert arrays[f"{op}_tf"].shape == (IB, 64)
+            arrays[f"{op}_tf"] = build_t_factor(v, arrays[f"{op}_taus"])
+        np.savez(path, **arrays)
+        g = load_factorization(path)
+        assert all(factors.tf.shape == (64, 64) for _, factors in g.log)
+        x = rng.standard_normal((128, 3))
+        np.testing.assert_allclose(g.apply_qt(x), f.apply_qt(x), atol=1e-12)
+        np.testing.assert_allclose(g.q_dense(), f.q_dense(), atol=1e-12)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):

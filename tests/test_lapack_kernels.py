@@ -1,18 +1,23 @@
-"""GEQRT/TSQRT/TTQRT through LAPACK's ``?geqrt``/``?tpqrt`` against the
-Python loops they replace, which run with the OpenBLAS loader patched out."""
+"""The LAPACK tile kernels against the Python code they replace, which
+runs with the OpenBLAS loader patched out: GEQRT/TSQRT/TTQRT through
+``?geqrt``/``?tpqrt`` against the reflector loops, and UNMQR/TSMQR/TTMQR
+through ``?gemqrt``/``?tpmqrt`` against the NumPy GEMMs."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.kernels import geqrt, tsqrt, ttqrt
+from repro.kernels import build_t_factor, geqrt, lapack, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
 from repro.kernels.backends.conformance import tolerance_for
 from repro.runtime import blas
+from repro.tiles import TiledMatrix
 
 pytestmark = pytest.mark.skipif(
-    blas._symbols() is None or len(blas._symbols().lapack) < 4,
-    reason="NumPy's OpenBLAS does not export ?geqrt/?tpqrt",
+    blas._symbols() is None or len(blas._symbols().lapack) < len(blas.LAPACK_ROUTINES),
+    reason="NumPy's OpenBLAS does not export the LAPACK tile kernels",
 )
 
 TILE_SIZES = (1, 2, 16, 64, 128)
@@ -23,6 +28,14 @@ TINY = 2.2e-161
 def _factors(f):
     arrays = [f.r, f.tf, f.taus]
     return arrays + [f.v if hasattr(f, "v") else f.v2]
+
+
+def _full_t(f) -> np.ndarray:
+    """The full ``k x k`` T of a factor's reflectors, from its V and taus."""
+    if hasattr(f, "v"):
+        return build_t_factor(f.v, f.taus)
+    k = f.v2.shape[1]
+    return build_t_factor(np.vstack([np.eye(k, dtype=f.v2.dtype), f.v2]), f.taus)
 
 
 def _both(monkeypatch, kernel, *args):
@@ -38,6 +51,17 @@ def _assert_agree(fast, slow, atol=1e-12):
     for got, want in zip(_factors(fast), _factors(slow)):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+    # LAPACK's block-T holds the diagonal ib x ib blocks of the loops' full T.
+    k = fast.tf.shape[1]
+    ib = min(k, lapack.IB)
+    assert fast.tf.shape == (ib, k)
+    full = _full_t(slow)
+    for j0 in range(0, k, ib):
+        j1 = min(j0 + ib, k)
+        np.testing.assert_allclose(
+            fast.tf[: j1 - j0, j0:j1], full[j0:j1, j0:j1], rtol=0, atol=atol
+        )
+    np.testing.assert_allclose(fast.taus, np.diag(full), rtol=0, atol=atol)
 
 
 def _orthogonality(f) -> float:
@@ -112,3 +136,226 @@ class TestEdgeColumns:
         _assert_agree(fast, slow)
         assert _orthogonality(fast) <= 1e-12
         assert abs(fast.r[0, 0]) == pytest.approx(TINY, rel=1e-15)
+
+
+# -- update kernels ------------------------------------------------------------
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Whether LAPACK ran, for every ``?gemqrt``/``?tpmqrt`` attempt made
+    with the loader in place (a wrapper re-entering itself to pin BLAS
+    threads counts once)."""
+    ran, depth = [], []
+
+    def spy(real, *args):
+        depth.append(real)
+        try:
+            done = real(*args)
+        finally:
+            depth.pop()
+        if not depth and blas._symbols() is not None:
+            ran.append(done)
+        return done
+
+    for name in ("gemqrt", "tpmqrt"):
+        monkeypatch.setattr(lapack, name, lambda *a, _real=getattr(lapack, name): spy(_real, *a))
+    return ran
+
+
+def _update_both(monkeypatch, kernel, f, tiles, transpose):
+    """``(lapack, numpy)``: ``tiles`` after the update, with and without
+    LAPACK; ``tiles`` (possibly views) receive the LAPACK result."""
+    slow = [t.copy() for t in tiles]
+    kernel(f, *tiles, transpose=transpose)
+    with monkeypatch.context() as m:
+        m.setattr(blas, "_symbols", lambda: None)
+        kernel(f, *slow, transpose=transpose)
+    return tiles, slow
+
+
+def _assert_updates_agree(fast, slow, atol=1e-12):
+    for got, want in zip(fast, slow):
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("transpose", [True, False])
+@pytest.mark.parametrize("b", TILE_SIZES)
+class TestUpdatesAgainstNumPy:
+    def test_unmqr_square_and_tall(self, monkeypatch, lapack_calls, rng, b, transpose):
+        for m in (b, b + 7):
+            f = geqrt(rng.standard_normal((m, b)))
+            for width in (1, b, 3 * b):
+                c = rng.standard_normal((m, width))
+                _assert_updates_agree(*_update_both(monkeypatch, unmqr, f, [c], transpose))
+        assert all(lapack_calls)
+
+    def test_tsmqr_full_and_ragged_bottom(self, monkeypatch, lapack_calls, rng, b, transpose):
+        for m2 in sorted({b, max(1, b // 3), b + 5}):
+            f = tsqrt(_triangle(rng, b), rng.standard_normal((m2, b)))
+            tiles = [rng.standard_normal((b, 2 * b)), rng.standard_normal((m2, 2 * b))]
+            _assert_updates_agree(*_update_both(monkeypatch, tsmqr, f, tiles, transpose))
+        assert all(lapack_calls)
+
+    def test_ttmqr(self, monkeypatch, lapack_calls, rng, b, transpose):
+        f = ttqrt(_triangle(rng, b), _triangle(rng, b))
+        tiles = [rng.standard_normal((b, 2 * b)), rng.standard_normal((b, 2 * b))]
+        _assert_updates_agree(*_update_both(monkeypatch, ttmqr, f, tiles, transpose))
+        assert lapack_calls == [True]
+
+    def test_float32(self, monkeypatch, lapack_calls, rng, b, transpose):
+        f32 = np.float32
+        fg = geqrt(rng.standard_normal((b, b)).astype(f32))
+        c = rng.standard_normal((b, b)).astype(f32)
+        _assert_updates_agree(
+            *_update_both(monkeypatch, unmqr, fg, [c], transpose), atol=tolerance_for(f32)
+        )
+        r1 = _triangle(rng, b, f32)
+        bottom = rng.standard_normal((b, b)).astype(f32)
+        for kernel, f in ((tsmqr, tsqrt(r1, bottom)), (ttmqr, ttqrt(r1, np.triu(bottom)))):
+            tiles = [rng.standard_normal((b, b)).astype(f32) for _ in range(2)]
+            fast, slow = _update_both(monkeypatch, kernel, f, tiles, transpose)
+            _assert_updates_agree(fast, slow, atol=tolerance_for(f32))
+        assert lapack_calls == [True] * 3
+
+    def test_row_major_panel_views(self, monkeypatch, lapack_calls, rng, b, transpose):
+        # Tiles of a row-major matrix are views with leading dimension q*b.
+        q = 3
+        tm = TiledMatrix.from_dense(rng.standard_normal((2 * b, q * b)), b, storage="rowmajor")
+        top, bot = tm.tile(0, 1), tm.tile(1, 2)
+        assert top.strides[0] == q * b * top.itemsize or b == 1
+        fg = geqrt(rng.standard_normal((b, b)))
+        fe = tsqrt(_triangle(rng, b), rng.standard_normal((b, b)))
+        _assert_updates_agree(*_update_both(monkeypatch, unmqr, fg, [top], transpose))
+        _assert_updates_agree(*_update_both(monkeypatch, tsmqr, fe, [top, bot], transpose))
+        # A panel of two tiles (the batched kernels' operand) is a view too.
+        panels = [tm.row_panel(0, 1, 3), tm.row_panel(1, 1, 3)]
+        _assert_updates_agree(*_update_both(monkeypatch, tsmqr, fe, panels, transpose))
+        assert all(lapack_calls)
+        assert np.array_equal(tm.tile(0, 1), top) and np.shares_memory(tm.tile(0, 1), top)
+
+    def test_non_contiguous_rows_fall_back(self, monkeypatch, lapack_calls, rng, b, transpose):
+        fg = geqrt(rng.standard_normal((b, b)))
+        fe = tsqrt(_triangle(rng, b), rng.standard_normal((b, b)))
+        strided = rng.standard_normal((b, 4 * b))[:, ::2]  # column stride 2
+        fortran = np.asfortranarray(rng.standard_normal((b, 2 * b)))
+        _assert_updates_agree(*_update_both(monkeypatch, unmqr, fg, [strided], transpose))
+        _assert_updates_agree(
+            *_update_both(monkeypatch, tsmqr, fe, [fortran, strided], transpose)
+        )
+        assert lapack_calls == [False, False]
+
+
+@pytest.mark.parametrize("numpy_path", [False, True])
+@pytest.mark.parametrize("b", (16, 64, 128))
+def test_full_t_factors_apply_like_block_t(monkeypatch, rng, b, numpy_path):
+    """A full ``k x k`` T (``nb = k``), as checkpoints written before
+    inner blocking hold it, applies like the block-T, on both paths."""
+    fg = geqrt(rng.standard_normal((b, b)))
+    fe = tsqrt(_triangle(rng, b), rng.standard_normal((b, b)))
+    ft = ttqrt(_triangle(rng, b), _triangle(rng, b))
+    for f, kernel, rows in ((fg, unmqr, (b,)), (fe, tsmqr, (b, b)), (ft, ttmqr, (b, b))):
+        full = dataclasses.replace(f, tf=_full_t(f))
+        assert full.tf.shape == (b, b)
+        if numpy_path:
+            monkeypatch.setattr(blas, "_symbols", lambda: None)
+        for transpose in (True, False):
+            tiles = [rng.standard_normal((m, 2 * b)) for m in rows]
+            want = [t.copy() for t in tiles]
+            kernel(f, *want, transpose=transpose)
+            got = [t.copy() for t in tiles]
+            kernel(full, *got, transpose=transpose)
+            _assert_updates_agree(got, want)
+
+
+def test_factors_pickle_without_lapack_addresses(rng):
+    import pickle
+
+    f = tsqrt(_triangle(rng, 64), rng.standard_normal((64, 64)))
+    tsmqr(f, rng.standard_normal((64, 8)), rng.standard_normal((64, 8)))
+    assert f._lapack is not None  # taken on first use
+    g = pickle.loads(pickle.dumps(f))
+    assert g._lapack is None
+    np.testing.assert_array_equal(g.tf, f.tf)
+
+
+def test_workers_racing_on_a_fresh_factor(rng):
+    """Workers apply a factor whose operand addresses are not taken yet.
+    With a C-order V each takes its own Fortran copy, and the one that
+    loses the race must keep its copy alive through its LAPACK call."""
+    import sys
+    import threading
+
+    from repro.kernels import Workspace
+    from repro.runtime.blas import blas_threads
+
+    b, workers = 64, 6
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with blas_threads(1):
+            for _ in range(120):
+                f = geqrt(rng.standard_normal((b, b)))
+                f = dataclasses.replace(f, v=np.ascontiguousarray(f.v))
+                tiles = [rng.standard_normal((b, b)) for _ in range(workers)]
+                want = [t.copy() for t in tiles]
+                for t in want:
+                    unmqr(f, t)
+                f = dataclasses.replace(f)  # addresses not taken yet
+                start = threading.Barrier(workers)
+
+                def work(tile):
+                    start.wait()
+                    [np.empty_like(tile) + 1.0 for _ in range(3)]  # reuse freed memory
+                    unmqr(f, tile, workspace=Workspace())
+
+                threads = [threading.Thread(target=work, args=(t,)) for t in tiles]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                for got, expected in zip(tiles, want):
+                    np.testing.assert_array_equal(got, expected)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_direct_calls_run_on_one_blas_thread(monkeypatch, rng):
+    """Outside a runtime, each kernel pins BLAS to one thread for its
+    LAPACK call and restores the caller's count."""
+    syms = blas._symbols()
+    seen = []
+
+    def recording(fn):
+        return lambda *args: (seen.append(syms.get()), fn(*args))
+
+    patched = syms._replace(lapack={k: recording(fn) for k, fn in syms.lapack.items()})
+    monkeypatch.setattr(blas, "_symbols", lambda: patched)
+    saved = blas.get_num_threads()
+    blas.set_num_threads(2)
+    try:
+        fg = geqrt(rng.standard_normal((64, 64)))
+        fe = tsqrt(fg.r, rng.standard_normal((64, 64)))
+        unmqr(fg, rng.standard_normal((64, 8)))
+        tsmqr(fe, rng.standard_normal((64, 8)), rng.standard_normal((64, 8)))
+        assert blas.get_num_threads() == 2
+    finally:
+        blas.set_num_threads(saved)
+    assert seen == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (65, 64), (64,)])
+def test_malformed_block_t_is_rejected(rng, shape):
+    """LAPACK reads ``nb * k`` entries of T: a T of any other shape is
+    refused before a pointer is passed."""
+    from repro.errors import KernelError
+
+    fg = geqrt(rng.standard_normal((64, 64)))
+    fe = tsqrt(_triangle(rng, 64), rng.standard_normal((64, 64)))
+    tf = np.zeros(shape)
+    with pytest.raises(KernelError, match="Tf must have shape"):
+        unmqr(dataclasses.replace(fg, tf=tf), rng.standard_normal((64, 4)))
+    with pytest.raises(KernelError, match="Tf must have shape"):
+        tsmqr(dataclasses.replace(fe, tf=tf), *rng.standard_normal((2, 64, 4)))
