@@ -5,9 +5,9 @@
 * :class:`ThreadedRuntime` — the same task-graph loop with a worker-pool
   dispatch policy; exercises the concurrency structure a real
   PLASMA/StarPU-style runtime uses (NumPy's BLAS releases the GIL).
-* :class:`MultiprocessRuntime` — distributed-memory execution with one
-  OS process per device and explicit pipe transfers (the paper's
-  Fig. 7 structure made literal).
+* :class:`MultiprocessRuntime` — the same task-graph loop dispatching
+  task ids to one OS process per device, all mapping one shared-memory
+  tile arena (the paper's Fig. 7 manager/computing-thread structure).
 
 All three take their settings as one frozen :class:`RunOptions`
 (elimination tree, tracer, bus, batching, backend, and the resilience

@@ -111,8 +111,8 @@ class RunOptions:
     checkpoint_every / checkpoint_path:
         When both are set, write an atomic partial snapshot (format 2,
         see :mod:`repro.runtime.checkpoint`) after every
-        ``checkpoint_every`` completed tasks (multiprocess: panels);
-        ``resume_factorization`` finishes such a run.
+        ``checkpoint_every`` completed tasks, at a quiescent frontier;
+        ``resume_factorization`` finishes such a run on any runtime.
     backend:
         Kernel backend — a registered name, a
         :class:`~repro.kernels.backends.KernelBackend` object, or
@@ -415,6 +415,8 @@ class TaskGraphRun:
     """
 
     def __init__(self, a, tile_size: int, resume, opts: RunOptions, split=None):
+        if a is None and resume is not None:
+            a = resume.tiled
         tiled, self.shape = coerce_input(
             a, tile_size, "rowmajor" if opts.batch_updates else "tiles"
         )

@@ -111,6 +111,22 @@ class TiledMatrix:
         return out
 
     @classmethod
+    def over(cls, buf: np.ndarray, rows: int, cols: int) -> "TiledMatrix":
+        """A tiled matrix whose tiles are views into ``buf`` (no copy).
+
+        ``buf`` is ``(p, q, b, b)`` for the list-of-tiles layout or
+        ``(p, b, q*b)`` for row-major storage, e.g. a shared-memory
+        segment that several processes map.
+        """
+        if buf.ndim == 4:
+            return cls([list(row) for row in buf], rows, cols)
+        b = buf.shape[1]
+        q = buf.shape[2] // b
+        out = cls([[row[:, j * b : (j + 1) * b] for j in range(q)] for row in buf], rows, cols)
+        out._rowbufs = list(buf)
+        return out
+
+    @classmethod
     def zeros(
         cls, rows: int, cols: int, tile_size: int = DEFAULT_TILE_SIZE, dtype=DEFAULT_DTYPE
     ) -> "TiledMatrix":

@@ -6,9 +6,12 @@ from that snapshot, produces the same R the uninterrupted run would have
 validation both load paths must do before touching any numbers.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.dag import build_dag
 from repro.observability import MetricsRegistry
 from repro.resilience import ChaosEngine, FaultKind, FaultPlan, FaultSpec, NO_RETRY, RetryPolicy
 from repro.errors import RetryExhaustedError
@@ -119,33 +122,38 @@ class TestThreadedResume:
 
 class TestMultiprocessResume:
     def test_mp_checkpoint_resumes_everywhere(self, matrix, clean_r, tmp_path, optimizer):
-        """Multiprocess snapshots are panel-aligned per-tile states: the
-        serial, threaded, and multiprocess runtimes can all finish one."""
+        """A multiprocess snapshot is a quiescent frontier, as a threaded
+        one is: the serial, threaded, and multiprocess runtimes can all
+        finish it."""
         dist = optimizer.plan(matrix_size=N, num_devices=3)
         path = tmp_path / "mp.npz"
         fact = MultiprocessRuntime(
-            dist, checkpoint_every=2, checkpoint_path=path
+            dist, checkpoint_every=20, checkpoint_path=path
         ).factorize(matrix.copy(), B)
         assert np.array_equal(fact.r_dense(), clean_r)
 
         state = load_partial_factorization(path)
-        ks = {t.k for t in state.completed}
-        assert ks == set(range(max(ks) + 1))  # whole panels, in order
+        assert len(state.completed) >= 20
 
         serial = resume_factorization(path)
         assert np.array_equal(serial.r_dense(), clean_r)
+        threaded = resume_factorization(path, runtime=ThreadedRuntime(num_workers=4))
+        assert np.array_equal(threaded.r_dense(), clean_r)
         mp = MultiprocessRuntime(dist).factorize(None, resume=state)
         assert np.array_equal(mp.r_dense(), clean_r)
 
-    def test_mp_rejects_partial_panel_snapshot(self, matrix, tmp_path, optimizer):
-        """A mid-panel (task-granular) snapshot cannot be resumed on the
-        panel-granular multiprocess runtime — clear error, no garbage."""
+    def test_mp_resumes_mid_panel_serial_snapshot(self, matrix, clean_r, tmp_path, optimizer):
+        """A task-granular serial snapshot, cut mid-panel, finishes on the
+        multiprocess runtime with an R bit-identical to the clean run."""
         path = _interrupt_serial(matrix, tmp_path / "snap.npz")
         state = load_partial_factorization(path)
-        assert len(state.completed) % 16 != 0 or True  # mid-panel by construction
+        per_panel = Counter(t.k for t in build_dag(N // B, N // B, "TS").tasks)
+        done = Counter(t.k for t in state.completed)
+        assert any(0 < done[k] < n for k, n in per_panel.items())  # cut mid-panel
         dist = optimizer.plan(matrix_size=N, num_devices=2)
-        with pytest.raises(CheckpointError, match="serial or threaded"):
-            MultiprocessRuntime(dist).factorize(None, resume=state)
+        fact = MultiprocessRuntime(dist).factorize(None, resume=state)
+        assert np.array_equal(fact.r_dense(), clean_r)
+        assert fact.reconstruction_error(matrix) <= 1e-10
 
 
 class TestValidation:

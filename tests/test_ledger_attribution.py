@@ -52,12 +52,15 @@ def test_factorize_builds_the_dag_through_the_module_attribute(monkeypatch, make
         assert len(calls[-1][1].tasks) == expected > 0
 
 
-def test_multiprocess_builds_the_dag_through_repro_dag(monkeypatch, optimizer):
+def test_multiprocess_builds_the_dag_through_the_executor(monkeypatch, optimizer):
+    """The multiprocess manager runs the serial module's executor, so the
+    ledger's patch of ``repro.runtime.serial.build_dag`` sees its one
+    build per call."""
     plan = optimizer.plan(matrix_size=N, num_devices=2)  # plans build DAGs too
     expected = len(repro.dag.build_dag(N // B, N // B).tasks)
-    calls = _count_builds(monkeypatch, (repro.dag,))
+    calls = _count_builds(monkeypatch, (serial, threaded, repro.dag))
     MultiprocessRuntime(plan).factorize(np.random.default_rng(4).standard_normal((N, N)), B)
-    assert [len(dag.tasks) for _, dag in calls] == [expected]
+    assert [(name, len(dag.tasks)) for name, dag in calls] == [(serial.__name__, expected)]
 
 
 @pytest.mark.parametrize("module", [serial, threaded, repro.dag.analysis])
