@@ -108,12 +108,15 @@ class Arena:
             return GEQRTResult(r=r, v=v, tf=tf, taus=taus)
         return TSQRTResult(r=r, v2=v, tf=tf, taus=taus, kind="TT" if kind is TaskKind.TTQRT else "TS")
 
-    def snapshot(self, w: int, task: Task, mark: int) -> None:
-        """Save ``task``'s write set in worker ``w``'s slot, marked ``mark``."""
+    def snapshot(self, w: int, mark: int, written: list) -> np.ndarray:
+        """Save a task's write set in worker ``w``'s slot, marked
+        ``mark``; returns the saved copies."""
         self.ctrl[w, 1] = 0
-        for saved, tile in zip(self.snaps[w], task_written_tiles(task, self.tiled)):
-            saved[...] = tile
+        saved = self.snaps[w][: len(written)]
+        for copy, tile in zip(saved, written):
+            copy[...] = tile
         self.ctrl[w, 1] = mark
+        return saved
 
     def restore(self, w: int, task: Task) -> None:
         for saved, tile in zip(self.snaps[w], task_written_tiles(task, self.tiled)):

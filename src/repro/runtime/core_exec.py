@@ -146,14 +146,17 @@ def apply_task_resilient(
     tracer=None,
     device: str = "local",
     bus=None,
+    save=None,
 ) -> Factors | None:
     """Execute one task under retry/chaos/health semantics.
 
     Same contract as :func:`apply_task`, plus:
 
-    * before each attempt the task's written tiles are snapshotted, so a
+    * before the first attempt the task's written tiles are saved, so a
       failed attempt restores them exactly and the replay starts from
-      pristine inputs (bit-identical masking);
+      pristine inputs (bit-identical masking); ``save``, when given,
+      takes the list of written tiles, copies them where it keeps them
+      and returns the copies (default: private copies);
     * ``chaos`` (a :class:`repro.resilience.ChaosEngine`) may inject a
       kernel exception, delay/hang, or output corruption;
     * with ``health=True`` the written tiles are NaN/Inf-checked after
@@ -177,6 +180,7 @@ def apply_task_resilient(
     from ..resilience.health import check_task_outputs, panel_residual_probe
 
     written = task_written_tiles(task, a)
+    snapshot = [t.copy() for t in written] if save is None else save(written)
     fkey = factor_key(task)
     last_exc: BaseException | None = None
     for attempt in range(1, policy.max_attempts + 1):
@@ -203,7 +207,6 @@ def apply_task_resilient(
             pause = policy.backoff_seconds(attempt, key=task.sort_key())
             if pause > 0.0:
                 _time.sleep(pause)
-        snapshot = [t.copy() for t in written]
         try:
             # The deadline clock covers the injection point too: a HANG
             # fault stalls the kernel slot and must count as a hang.

@@ -17,23 +17,24 @@ device; here each plan participant gets a worker process.
 * **Owner computes** (arXiv:1110.1553) over the paper's Alg. 4 guide
   array: factorization tasks run on the panel owner
   (``plan.main_device``, or the column owner under
-  ``panel_follows_column``), updates of column ``j`` on
-  ``plan.column_owner(j)``, and a ready batched update is cut into runs
-  of columns with one owner.  Traced runs record each factor's first
-  read on another device, and each panel column's hand-off from its
-  owner to the panel owner, as transfers with their byte counts: the
-  movement Eq. 11 prices, a memory read here.
+  ``panel_follows_column``), updates of column ``j`` on its owner, and
+  a ready batched update is cut into runs of columns with one owner,
+  all by one record (:class:`_Owners`).  Traced runs record each
+  factor's first read on another device, and each panel column's
+  hand-off from its owner to the panel owner, as transfers with their
+  byte counts: the movement Eq. 11 prices, a memory read here.
 
 Failover: under a :class:`~repro.resilience.RetryPolicy` (or ``chaos``
 / ``health_checks``) workers run tasks through the shared retry
 envelope (:func:`~repro.runtime.core_exec.apply_task_resilient`).
-Before each kernel a worker copies the task's write set into its own
-arena slot, marked valid for that task, and after the kernel and its
-factor it bumps a shared count of committed tasks.  A worker that closes
-its pipe, reports a persistent failure or misses its reply deadline is
-reaped; the manager completes the tasks it committed but never
-reported, restores the write set of the task it died in, re-elects the
-main device if needed, re-derives the guide array over the survivors
+Before each task a worker saves its write set in its own arena slot,
+marked valid for that task; the retry envelope restores from the same
+copy.  After the kernel and its factor it bumps a shared count of
+committed tasks.  A worker that closes its pipe, reports a persistent
+failure or misses its reply deadline is reaped; the manager completes
+the tasks it committed but never reported, restores the write set of
+the task it died in, re-elects the main device if needed, re-derives
+the guide array over the survivors
 (:func:`~repro.core.distribution.guide_for_participants`) and re-queues
 the worker's tasks to their new owners.  Every task so completes once on
 the tiles it would have seen, and R stays bit-identical to the serial
@@ -41,7 +42,9 @@ runtime's; with no survivor the run raises
 :class:`~repro.errors.WorkerFailoverError`.
 
 Checkpoints count tasks and are quiescent frontiers, as in the threaded
-runtime.  Any valid snapshot resumes here, and these resume anywhere.
+runtime: while one waits, the manager sends only the queued chunks of
+batched updates, so no snapshot holds a batch partly applied.  Any
+valid snapshot resumes here, and these resume anywhere.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import selectors
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
@@ -114,16 +118,15 @@ def _worker_main(
                 tid, j0, j1 = msg
                 t = tasks[tid]
                 task = Task(t.kind, t.k, t.row, t.row2, j0, j1)
-            if policy is not None:
-                arena.snapshot(w, task, done + 1)
             start = perf_counter()
             if policy is None:
                 produced = apply_task(task, tiled, factors, workspace, backend=kern)
-            else:
+            else:  # the write set is saved in the arena, for failover too
                 produced = apply_task_resilient(
                     task, tiled, factors, workspace,
                     policy=policy, backend=kern, chaos=chaos, health=health,
                     health_ref_norm=ref_norm, metrics=metrics, device=device,
+                    save=partial(arena.snapshot, w, done + 1),
                 )
             if trace:
                 events.append((task, start, perf_counter()))
@@ -169,13 +172,8 @@ class MultiprocessRuntime(TaskGraphRuntime):
     def _describe(self) -> dict:
         return {"devices": list(self.plan.participants)}
 
-    def split(self, task: Task) -> list[Task]:
-        """A ready batched update, cut into runs of columns with one owner."""
-        owner = self.plan.column_owner
-        cuts = [j for j in range(task.col + 1, task.col_end) if owner(j) != owner(j - 1)]
-        edges = [task.col, *cuts, task.col_end]
-        return [Task(task.kind, task.k, task.row, task.row2, j0, j1)
-                for j0, j1 in zip(edges, edges[1:])] if cuts else [task]
+    def splitter(self) -> _Owners:
+        return _Owners(self.plan)
 
     def _dispatch(self, run: TaskGraphRun) -> None:
         # Forked workers inherit the pin.  One scope for the whole call:
@@ -183,6 +181,26 @@ class MultiprocessRuntime(TaskGraphRuntime):
         # idle threads then spin on the manager's cores.
         with blas_threads(1):
             _Manager(self.plan, run, self.options).drive()
+
+
+class _Owners:
+    """Column ownership for one call: the plan's, until a failover
+    moves a dead worker's columns.  As the run's splitter it cuts a
+    ready batched update into runs of columns with one owner."""
+
+    def __init__(self, plan: DistributionPlan):
+        self.plan, self.home = plan, {}
+
+    def __getitem__(self, j: int) -> str:
+        if j not in self.home:
+            self.home[j] = self.plan.column_owner(j)
+        return self.home[j]
+
+    def __call__(self, task: Task) -> list[Task]:
+        cuts = [j for j in range(task.col + 1, task.col_end) if self[j] != self[j - 1]]
+        edges = [task.col, *cuts, task.col_end]
+        return [Task(task.kind, task.k, task.row, task.row2, j0, j1)
+                for j0, j1 in zip(edges, edges[1:])] if cuts else [task]
 
 
 class _Manager:
@@ -195,7 +213,7 @@ class _Manager:
         self.position = run.dag.priority(self.b)[1]
         self.devices, self.live = list(plan.participants), list(plan.participants)
         self.main = plan.main_device
-        self.home = [plan.column_owner(j) for j in range(run.tiled.grid_cols)]
+        self.owners = run.split  # the _Owners the run splits batches with
         self.deadline = run.policy.deadline if run.policy is not None else None
         self.tracer, self.bus, self.metrics = run.tracer, run.bus, run.metrics
         self.inflight = {d: deque() for d in self.devices}
@@ -219,9 +237,9 @@ class _Manager:
                 if not paused:
                     while (ready := run.pop()) is not None:
                         self._queue(*ready)
-                    for dev in list(self.live):
-                        self._feed(dev)
-                elif not any(self.inflight[d] for d in self.live):
+                for dev in list(self.live):
+                    self._feed(dev, chunks_only=paused)
+                if paused and self._settled():
                     copy_tiles(self.arena.tiled, run.tiled)
                     run.checkpoint("manager")
                     paused = False
@@ -275,16 +293,21 @@ class _Manager:
 
     def _queue(self, tid: int, task: Task) -> None:
         if task.kind not in FACTOR_KINDS:
-            dev = self.home[task.col]
+            dev = self.owners[task.col]
         else:
-            dev = self.home[task.k] if self.plan.panel_follows_column else self.main
+            dev = self.owners[task.k] if self.plan.panel_follows_column else self.main
         heappush(self.queued[dev], (self.position[tid], next(self.seq), tid, task))
 
-    def _feed(self, dev: str) -> None:
-        """Send ``dev``'s highest-rank queued tasks until its window is full."""
-        queued, inflight = self.queued[dev], self.inflight[dev]
+    def _feed(self, dev: str, chunks_only: bool = False) -> None:
+        """Send ``dev``'s highest-rank queued tasks until its window is
+        full; only chunks of batched updates while a checkpoint waits."""
+        queued, inflight, held = self.queued[dev], self.inflight[dev], []
         while queued and len(inflight) < WINDOW:
-            _pos, _seq, tid, task = heappop(queued)
+            entry = heappop(queued)
+            _pos, _seq, tid, task = entry
+            if chunks_only and task is self.tasks[tid]:
+                held.append(entry)
+                continue
             if not inflight and self.deadline is not None:
                 self.heard[dev], self.missed[dev] = perf_counter(), 0.0
             inflight.append((tid, task))
@@ -295,14 +318,23 @@ class _Manager:
                     tid if task is self.tasks[tid] else (tid, task.col, task.col_end)
                 )
             except OSError as exc:
+                queued.extend(held)
                 return self._died(dev, f"pipe closed ({type(exc).__name__})")
+        for entry in held:
+            heappush(queued, entry)
+
+    def _settled(self) -> bool:
+        """Nothing in flight and no chunk of a batched update queued: no
+        batch is partly run, so a checkpoint may be taken."""
+        return not any(self.inflight[d] for d in self.live) and all(
+            e[3] is self.tasks[e[2]] for d in self.live for e in self.queued[d])
 
     def _note_transfer(self, dev: str, task: Task) -> None:
         """Record a factor's first read on another device, or panel
         column ``k``'s hand-off from its owner to the panel owner."""
         b, k = self.b, task.k
         if task.kind in FACTOR_KINDS:
-            key, src = ("col", k), self.home[k]
+            key, src = ("col", k), self.owners[k]
             nbytes = (self.run.tiled.grid_rows - k) * b * b
         else:
             key = ("Vg" if task.kind.single is TaskKind.UNMQR else "Ve", task.row, k)
@@ -440,10 +472,10 @@ class _Manager:
         derives over them."""
         from ..core.distribution import guide_for_participants
 
-        stranded = [j for j, owner in enumerate(self.home) if owner == dev]
+        tiled = self.run.tiled
+        stranded = [j for j in range(tiled.grid_cols) if self.owners[j] == dev]
         if not stranded:
             return
-        tiled = self.run.tiled
         try:
             _ratio, guide = guide_for_participants(
                 self.plan.system, self.live, self.main, tiled.grid_rows, tiled.grid_cols, self.b
@@ -452,8 +484,8 @@ class _Manager:
             guide = []
         guide = guide or list(self.live)
         for idx, j in enumerate(stranded):
-            self.home[j] = guide[idx % len(guide)]
-        to = sorted({self.home[j] for j in stranded})
+            self.owners.home[j] = guide[idx % len(guide)]
+        to = sorted({self.owners[j] for j in stranded})
         self._announce("manager", f"migrated column(s) {stranded} -> {{{', '.join(to)}}}", {
             "died": False, "panel": k, "columns": stranded, "to": to,
             "detail": f"migrated column(s) {stranded}",

@@ -35,7 +35,7 @@ inherits the failure-bundle ``factorize`` wrapper from :class:`Runtime`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any
 
 import numpy as np
@@ -411,7 +411,10 @@ class TaskGraphRun:
 
     ``split`` optionally maps a ready batched task to column chunks that
     are queued separately under the batch's id; the batch completes
-    with its last chunk.
+    with its last chunk.  A snapshot must not hold a batch some of whose
+    chunks ran: once a checkpoint is due, a policy stops popping, runs
+    the chunks :meth:`pop_begun` still hands out, and checkpoints when
+    none is left and nothing is in flight.
     """
 
     def __init__(self, a, tile_size: int, resume, opts: RunOptions, split=None):
@@ -471,9 +474,11 @@ class TaskGraphRun:
         self._order, self._position = dag.priority(tiled.tile_size)
         self._tasks = dag.tasks
         self._succ_ptr, self._succ_idx = dag.succ_ptr, dag.succ_idx
+        self.split = split
         self._split = split if dag.batch_updates else None
-        self._chunks: dict[int, list] = {}
-        self._chunks_left: dict[int, int] = {}
+        self._chunks: dict[int, list] = {}  # chunks not yet popped
+        self._chunks_left: dict[int, int] = {}  # chunks not yet completed
+        self._nchunks: dict[int, int] = {}  # chunks the batch was cut into
         waiting = list(dag.indegree)
         for tid in done_ids:
             for succ in dag.succ_ids(tid):
@@ -490,7 +495,7 @@ class TaskGraphRun:
             chunks = self._split(self._tasks[tid])
             if len(chunks) > 1:
                 self._chunks[tid] = chunks[::-1]  # popped from the end
-                self._chunks_left[tid] = len(chunks)
+                self._chunks_left[tid] = self._nchunks[tid] = len(chunks)
                 for _ in chunks:
                     heappush(self._heap, pos)
                 return
@@ -510,6 +515,20 @@ class TaskGraphRun:
         if not chunks:
             del self._chunks[tid]
         return tid, task
+
+    def pop_begun(self):
+        """``(task id, chunk)`` of a chunk not yet popped of a batch
+        that has other chunks popped, or None: the only work a policy
+        may start while a checkpoint waits."""
+        for tid, chunks in self._chunks.items():
+            if len(chunks) < self._nchunks[tid]:
+                self._heap.remove(self._position[tid])
+                heapify(self._heap)
+                task = chunks.pop()
+                if not chunks:
+                    del self._chunks[tid]
+                return tid, task
+        return None
 
     def workspace(self) -> Workspace:
         """A fresh per-worker scratch arena (fallbacks drained at the end)."""
@@ -572,7 +591,11 @@ class TaskGraphRun:
         return self.checkpoints.task_done()
 
     def checkpoint(self, device: str) -> None:
-        """Snapshot the completed frontier; call with no task in flight."""
+        """Snapshot the completed frontier; call with no task in flight
+        and no batch partly run (see :meth:`pop_begun`)."""
+        nchunks, unpopped = self._nchunks, self._chunks
+        if any(len(unpopped.get(tid, ())) < nchunks[tid] for tid in self._chunks_left):
+            raise SimulationError("checkpoint requested while a batched update is partly run")
         self.checkpoints.write(self.completed_order, self.log, device=device)
 
 
@@ -580,11 +603,13 @@ class TaskGraphRuntime(Runtime):
     """An in-process runtime: a :class:`TaskGraphRun` driven by the
     subclass's ``_dispatch(run)`` policy."""
 
-    #: Optional ``Task -> [chunks]`` splitter for ready batched tasks.
-    split = None
+    def splitter(self):
+        """A ``Task -> [chunks]`` splitter for one call's ready batched
+        tasks (the run's ``split``), or None to run each batch whole."""
+        return None
 
     def _factorize(self, a, tile_size, resume, opts) -> TiledQRFactorization:
-        run = TaskGraphRun(a, tile_size, resume, opts, split=self.split)
+        run = TaskGraphRun(a, tile_size, resume, opts, split=self.splitter())
         self._run_started(opts.bus, run.dag, run.tiled, completed=run.done)
         try:
             self._dispatch(run)

@@ -33,14 +33,18 @@ drained.  With a retry policy, retryable failures are absorbed inside
 exhausted/unretryable errors cancel the run.
 
 Mid-run checkpoints use a stop-the-world drain: the worker that crosses
-the checkpoint threshold pauses dispatch, waits for in-flight kernels to
-finish, snapshots the quiescent state, and resumes — so every snapshot
-is a downward-closed frontier the resume path can trust.
+the checkpoint threshold pauses dispatch; while paused, workers start
+only the remaining chunks of batches that already began
+(:meth:`~repro.runtime.serial.TaskGraphRun.pop_begun`), and the worker
+that finds nothing in flight and no such chunk left snapshots and
+resumes dispatch — so every snapshot is a downward-closed frontier the
+resume path can trust, with no batch half applied.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 # The layer ledger's traced mode patches these two names on this module.
 from ..dag import build_dag  # noqa: F401
@@ -98,9 +102,9 @@ class ThreadedRuntime(TaskGraphRuntime):
     def _describe(self) -> dict:
         return {"workers": self.num_workers}
 
-    def split(self, task: Task) -> list[Task]:
+    def splitter(self):
         """One column chunk of a ready batch per worker."""
-        return split_batch(task, self.num_workers)
+        return partial(split_batch, parts=self.num_workers)
 
     def _dispatch(self, run: TaskGraphRun) -> None:
         cond = threading.Condition()
@@ -116,38 +120,45 @@ class ThreadedRuntime(TaskGraphRuntime):
 
         def fail(exc: BaseException) -> None:
             """First-error path: record, cancel all pending work, wake everyone."""
-            nonlocal paused
             with cond:
                 errors.append(exc)
-                # A pauser waiting for quiescence must not deadlock on a
-                # worker that died instead of decrementing inflight.
-                paused = False
                 cond.notify_all()
             cancel.set()
             all_done.set()
 
-        def pop_task() -> tuple[int, Task] | None:
+        def pop_task(device: str) -> tuple[int, Task] | None:
             """``(task id, task)`` of the highest-rank ready task; None
             when the run is over.
 
-            Blocks while nothing is ready or dispatch is paused for a
-            checkpoint; increments ``inflight`` atomically with the pop
-            so the pauser's quiescence wait is race-free.
+            Blocks while nothing is ready.  While dispatch is paused for
+            a checkpoint it hands out only chunks of begun batches, and
+            the caller that finds nothing in flight and none of those
+            left writes the snapshot.  ``inflight`` changes atomically
+            with each pop, so that quiescence test is race-free.
             """
-            nonlocal inflight
+            nonlocal inflight, paused
             with cond:
                 while True:
                     if cancel.is_set() or stop:
                         return None
-                    ready = None if paused else run.pop()
+                    ready = run.pop_begun() if paused else run.pop()
                     if ready is not None:
                         inflight += 1
                         return ready
+                    if paused and inflight == 0 and run.done < run.total:
+                        try:
+                            run.checkpoint(device)
+                        except BaseException as exc:
+                            fail(exc)
+                            return None
+                        paused = False
+                        cond.notify_all()
+                        continue
                     cond.wait()
 
         def worker(device: str, workspace) -> None:
             nonlocal inflight, paused
-            while (ready := pop_task()) is not None:
+            while (ready := pop_task(device)) is not None:
                 tid, task = ready
                 try:
                     produced = run.execute(task, workspace, device)
@@ -163,19 +174,9 @@ class ThreadedRuntime(TaskGraphRuntime):
                     inflight -= 1
                     due = run.complete(tid, produced)
                     finished = run.done == run.total
-                    if due and not finished and not cancel.is_set():
-                        # Stop the world: block new dispatch, drain
-                        # in-flight kernels, snapshot, resume.
-                        paused = True
-                        while inflight > 0 and not cancel.is_set():
-                            cond.wait()
-                        if not cancel.is_set():
-                            try:
-                                run.checkpoint(device)
-                            except BaseException as exc:
-                                fail(exc)
-                                return
-                        paused = False
+                    # Stop the world: pop_task drains begun batches and
+                    # snapshots once nothing is in flight.
+                    paused = paused or (due and not finished)
                     cond.notify_all()
                 if finished:
                     all_done.set()

@@ -14,7 +14,7 @@ import pytest
 from repro.dag import build_dag
 from repro.observability import MetricsRegistry
 from repro.resilience import ChaosEngine, FaultKind, FaultPlan, FaultSpec, NO_RETRY, RetryPolicy
-from repro.errors import RetryExhaustedError
+from repro.errors import RetryExhaustedError, SimulationError
 from repro.runtime import tiled_qr
 from repro.runtime.checkpoint import (
     CheckpointError,
@@ -23,9 +23,10 @@ from repro.runtime.checkpoint import (
     resume_factorization,
     save_factorization,
 )
+import repro.runtime.checkpoint as checkpoint
 from repro.runtime.multiprocess import MultiprocessRuntime
-from repro.runtime.serial import SerialRuntime
-from repro.runtime.threaded import ThreadedRuntime
+from repro.runtime.serial import RunOptions, SerialRuntime, TaskGraphRun
+from repro.runtime.threaded import ThreadedRuntime, split_batch
 
 N = 96
 B = 16
@@ -39,6 +40,24 @@ def matrix():
 @pytest.fixture(scope="module")
 def clean_r(matrix):
     return tiled_qr(matrix, B).r_dense()
+
+
+@pytest.fixture(scope="module")
+def clean_batched_r(matrix):
+    return SerialRuntime(batch_updates=True).factorize(matrix.copy(), B).r_dense()
+
+
+@pytest.fixture
+def snapshots(monkeypatch, tmp_path):
+    """The paths of every snapshot a run writes, each kept apart."""
+    save, paths = checkpoint.save_partial_factorization, []
+
+    def keep(_path, *args, **kwargs):
+        paths.append(tmp_path / f"snap{len(paths)}.npz")
+        save(paths[-1], *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "save_partial_factorization", keep)
+    return paths
 
 
 def _interrupt_serial(matrix, path, **runtime_kw):
@@ -119,6 +138,20 @@ class TestThreadedResume:
         fact = resume_factorization(path, runtime=ThreadedRuntime(num_workers=4))
         assert np.array_equal(fact.r_dense(), clean_r)
 
+    def test_threaded_batched_snapshots_hold_no_half_batch(
+        self, matrix, clean_batched_r, tmp_path, snapshots
+    ):
+        """Batches split into one chunk per worker: every snapshot waits
+        for the begun batches, so each resumes to the clean batched R."""
+        fact = ThreadedRuntime(
+            num_workers=4, batch_updates=True, checkpoint_every=2,
+            checkpoint_path=tmp_path / "th.npz",
+        ).factorize(matrix.copy(), B)
+        assert np.array_equal(fact.r_dense(), clean_batched_r)
+        assert len(snapshots) >= 3
+        for path in snapshots:
+            assert np.array_equal(resume_factorization(path).r_dense(), clean_batched_r), path.name
+
 
 class TestMultiprocessResume:
     def test_mp_checkpoint_resumes_everywhere(self, matrix, clean_r, tmp_path, optimizer):
@@ -142,6 +175,25 @@ class TestMultiprocessResume:
         mp = MultiprocessRuntime(dist).factorize(None, resume=state)
         assert np.array_equal(mp.r_dense(), clean_r)
 
+    def test_mp_batched_snapshots_hold_no_half_batch(
+        self, matrix, clean_batched_r, tmp_path, optimizer, snapshots
+    ):
+        """Batched updates cut between column owners: every snapshot is
+        taken with no batch partly applied, so each resumes to the clean
+        batched R on serial, and one mid-run snapshot on multiprocess."""
+        dist = optimizer.plan(matrix_size=N, num_devices=3)
+        assert len(set(dist.guide_array)) > 1  # batches are cut between owners
+        fact = MultiprocessRuntime(
+            dist, batch_updates=True, checkpoint_every=3, checkpoint_path=tmp_path / "mp.npz"
+        ).factorize(matrix.copy(), B)
+        assert np.array_equal(fact.r_dense(), clean_batched_r)
+        assert len(snapshots) >= 3
+        for path in snapshots:
+            assert np.array_equal(resume_factorization(path).r_dense(), clean_batched_r), path.name
+        state = load_partial_factorization(snapshots[len(snapshots) // 2])
+        mp = MultiprocessRuntime(dist, batch_updates=True).factorize(None, resume=state)
+        assert np.array_equal(mp.r_dense(), clean_batched_r)
+
     def test_mp_resumes_mid_panel_serial_snapshot(self, matrix, clean_r, tmp_path, optimizer):
         """A task-granular serial snapshot, cut mid-panel, finishes on the
         multiprocess runtime with an R bit-identical to the clean run."""
@@ -154,6 +206,32 @@ class TestMultiprocessResume:
         fact = MultiprocessRuntime(dist).factorize(None, resume=state)
         assert np.array_equal(fact.r_dense(), clean_r)
         assert fact.reconstruction_error(matrix) <= 1e-10
+
+
+class TestBatchFrontier:
+    def test_checkpoint_waits_for_a_begun_batch(self, matrix, clean_batched_r, tmp_path):
+        """With one chunk of a batch done and its sibling unpopped, the
+        run refuses to snapshot; :meth:`pop_begun` hands out the sibling,
+        after which the snapshot resumes to the clean R."""
+        path = tmp_path / "snap.npz"
+        opts = RunOptions(batch_updates=True, checkpoint_every=1, checkpoint_path=path)
+        run = TaskGraphRun(matrix.copy(), B, None, opts, split=lambda t: split_batch(t, 2))
+        ws, tasks = run.workspace(), run.dag.tasks
+
+        def execute(ready):
+            run.complete(ready[0], run.execute(ready[1], ws, "test"))
+
+        while (chunk := run.pop())[1] is tasks[chunk[0]]:  # until a chunk pops
+            execute(chunk)
+        execute(chunk)
+        with pytest.raises(SimulationError, match="partly run"):
+            run.checkpoint("test")
+        sibling = run.pop_begun()
+        assert sibling[0] == chunk[0] and sibling[1] != chunk[1]
+        assert run.pop_begun() is None
+        execute(sibling)
+        run.checkpoint("test")
+        assert np.array_equal(resume_factorization(path).r_dense(), clean_batched_r)
 
 
 class TestValidation:

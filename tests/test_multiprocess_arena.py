@@ -15,6 +15,7 @@ import pytest
 
 import repro.runtime.arena
 import repro.runtime.multiprocess as mp_runtime
+from repro.dag.tasks import Task, TaskKind
 from repro.errors import SimulationError, WorkerFailoverError
 from repro.kernels.backends import register_backend, unregister_backend
 from repro.resilience import FaultKind, FaultPlan, FaultSpec, RetryPolicy
@@ -128,3 +129,18 @@ def test_death_after_a_kernel_restores_its_write_set(arenas, matrix, plan, tmp_p
     assert marker.exists()
     assert np.array_equal(fact.r_dense(), tiled_qr(matrix, B).r_dense())
     _assert_unlinked(arenas)
+
+
+def test_batches_are_cut_by_current_ownership(optimizer):
+    """A ready batch is cut where column ownership changes, the same
+    ownership the manager places tasks by: once a failover moves a dead
+    worker's columns, its old boundaries no longer cut batches."""
+    plan3 = optimizer.plan(matrix_size=96, tile_size=16, num_devices=3)
+    owners = mp_runtime.MultiprocessRuntime(plan3).splitter()
+    batch = Task(TaskKind.TSMQR_BATCH, 0, 1, 0, 1, 6)
+    chunks = owners(batch)
+    assert [(c.col, c.col_end) for c in chunks] == [(j, j + 1) for j in range(1, 6)]
+    assert {owners[c.col] for c in chunks} == set(plan3.guide_array) and len(plan3.guide_array) == 2
+    survivor, dead = plan3.guide_array
+    owners.home.update({j: survivor for j in range(6) if owners[j] == dead})
+    assert owners(batch) == [batch]
