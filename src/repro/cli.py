@@ -30,9 +30,6 @@ Subcommands:
   mid-run) and render the same dashboard from it.
 * ``metrics --from-trace run.jsonl`` — rebuild a metrics registry from
   a saved trace and print it in Prometheus text exposition format.
-* ``backends`` — list the registered kernel backends; ``--check`` runs
-  the cross-backend conformance harness (every backend vs the reference
-  oracle) and exits nonzero on any mismatch.
 * ``postmortem BUNDLE.zip`` — root-cause a failure bundle (written by
   ``--bundle-out`` on ``factorize``/``chaos``/``top`` when a run dies):
   classification, responsible FaultSpec when chaos seeded it, causal
@@ -166,8 +163,7 @@ def _cmd_plan(args) -> int:
             print(f"cannot use profile store {args.profile}: {exc}", file=sys.stderr)
             return 2
         print(f"using measured kernel times from {args.profile} "
-              f"({store.num_runs} run(s), devices {store.devices()}, "
-              f"backends {store.backends()})")
+              f"({store.num_runs} run(s), devices {store.devices()})")
         opt = Optimizer(system, profile=store)
     else:
         opt = Optimizer(system)
@@ -190,56 +186,6 @@ def _cmd_plan(args) -> int:
         print()
         print(explain_plan(plan))
     return 0
-
-
-def _cmd_backends(args) -> int:
-    """List registered kernel backends; --check runs the conformance harness."""
-    import json
-    from pathlib import Path
-
-    from .kernels.backends import DEFAULT_BACKEND, backend_info
-
-    if args.check:
-        from .kernels.backends.conformance import run_conformance
-
-        report = run_conformance()
-        print(report.to_text())
-        if args.json:
-            Path(args.json).write_text(report.to_json())
-            print(f"conformance report written to {args.json}")
-        return 0 if report.passed else 1
-    info = backend_info()
-    if args.json:
-        Path(args.json).write_text(json.dumps(info, indent=1))
-        print(f"backend listing written to {args.json}")
-        return 0
-    print("registered kernel backends:")
-    for b in info:
-        flags = [f for f, on in (
-            ("default", b["default"]),
-            ("compiled", b["compiled"]),
-            ("bit-exact", b["bit_exact"]),
-        ) if on]
-        tag = f"  [{', '.join(flags)}]" if flags else ""
-        print(f"  {b['name']:12s} {b['description']}{tag}")
-    print(
-        "\nselect with `--backend NAME` on factorize/trace; verify with "
-        "`tiledqr backends --check`"
-    )
-    return 0
-
-
-def _resolve_backend_arg(name):
-    """Fail fast (exit code 2) on an unknown --backend name."""
-    from .errors import KernelError
-    from .kernels.backends import resolve_backend
-
-    try:
-        resolve_backend(name)
-    except KernelError as exc:
-        print(str(exc), file=sys.stderr)
-        return False
-    return True
 
 
 #: ``--tree`` vocabulary: auto-selection, canonical names, seed aliases.
@@ -306,8 +252,6 @@ def _cmd_factorize(args) -> int:
     if args.n > 2048:
         print("numeric factorization is NumPy-bound; use n <= 2048", file=sys.stderr)
         return 2
-    if not _resolve_backend_arg(args.backend):
-        return 2
     rng = np.random.default_rng(args.seed)
     a = rng.standard_normal((args.n, args.n))
 
@@ -319,7 +263,6 @@ def _cmd_factorize(args) -> int:
         a,
         tile_size=args.tile_size,
         batch_updates=args.batch_updates,
-        backend=args.backend,
         tree=args.tree,
     )
     fact = run.factorization
@@ -376,7 +319,6 @@ def _factorize_checkpointed(args, a) -> int:
             metrics=metrics,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint_out,
-            backend=args.backend,
             bundle_out=args.bundle_out,
         )
         runtime = _make_runtime(args, options, args.n)
@@ -565,8 +507,6 @@ def _cmd_top(args) -> int:
     if args.n > 2048:
         print("numeric factorization is NumPy-bound; use n <= 2048", file=sys.stderr)
         return 2
-    if not _resolve_backend_arg(args.backend):
-        return 2
     fault_plan = None
     if args.chaos:
         try:
@@ -602,7 +542,7 @@ def _cmd_top(args) -> int:
     a = rng.standard_normal((args.n, args.n))
     options = RunOptions(
         elimination=tree, batch_updates=args.batch_updates, retry_policy=policy,
-        chaos=fault_plan, metrics=metrics, backend=args.backend, bus=bus,
+        chaos=fault_plan, metrics=metrics, bus=bus,
     )
     runtime = _make_runtime(args, options, args.n)
 
@@ -797,10 +737,7 @@ def _write_chrome(trace, path: str) -> None:
     print(f"Chrome trace written to {p} (open in chrome://tracing or Perfetto)")
 
 
-def _update_profile(
-    trace, tile_size: int, path: str, meta: dict | None = None,
-    backend: str = "reference",
-) -> None:
+def _update_profile(trace, tile_size: int, path: str, meta: dict | None = None) -> None:
     from pathlib import Path
     from time import strftime
 
@@ -811,8 +748,7 @@ def _update_profile(
     store = ProfileStore.load(path) if Path(path).is_file() else ProfileStore()
     try:
         rid = store.ingest_trace(
-            trace, tile_size, recorded_at=strftime("%Y-%m-%dT%H:%M:%S"), meta=meta,
-            backend=backend,
+            trace, tile_size, recorded_at=strftime("%Y-%m-%dT%H:%M:%S"), meta=meta
         )
     except ObservabilityError as exc:
         print(f"profile store not updated: {exc}", file=sys.stderr)
@@ -875,8 +811,6 @@ def _cmd_trace(args) -> int:
     if n > 2048:
         print("numeric factorization is NumPy-bound; use n <= 2048", file=sys.stderr)
         return 2
-    if not _resolve_backend_arg(args.backend):
-        return 2
 
     metrics = MetricsRegistry()
     tracer = Tracer(metrics=metrics)
@@ -887,7 +821,7 @@ def _cmd_trace(args) -> int:
         args,
         RunOptions(
             elimination=tree, tracer=tracer,
-            batch_updates=args.batch_updates, backend=args.backend,
+            batch_updates=args.batch_updates,
         ),
         n,
     )
@@ -922,7 +856,6 @@ def _cmd_trace(args) -> int:
             batch_updates=args.batch_updates,
             workers=args.workers if args.runtime == "threaded" else None,
             seed=args.seed,
-            backend=args.backend or "reference",
             decisions=(
                 plan.notes["audit"].to_dict()["decisions"]
                 if plan is not None else None
@@ -938,11 +871,7 @@ def _cmd_trace(args) -> int:
             trace,
             args.tile_size,
             args.profile_out,
-            meta={
-                "runtime": args.runtime, "n": n, "seed": args.seed,
-                "backend": args.backend or "reference",
-            },
-            backend=args.backend or "reference",
+            meta={"runtime": args.runtime, "n": n, "seed": args.seed},
         )
     if args.diff is not None:
         from .core.executor import TiledQR
@@ -1034,13 +963,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["serial", "threaded"],
         default="serial",
         help="executor for checkpointed/resumed runs (default: serial)",
-    )
-    p_fact.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend to execute with (see `tiledqr backends`; "
-        "default: the plan's selected backend, falling back to reference)",
     )
     p_fact.add_argument("--workers", type=int, default=4, help="threaded worker count")
     p_fact.add_argument(
@@ -1209,14 +1131,6 @@ def main(argv: list[str] | None = None) -> int:
         "missing) and print measured stats + drift vs calibration",
     )
     p_trace.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend to trace (see `tiledqr backends`); recorded "
-        "runs tag their profile-store timings with it, which feeds the "
-        "planner's backend selection",
-    )
-    p_trace.add_argument(
         "--tree",
         choices=_tree_choices(),
         default=None,
@@ -1251,10 +1165,6 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-updates",
         action="store_true",
         help="coarsen trailing updates into row-panel batches",
-    )
-    p_top.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="kernel backend (see `tiledqr backends`)",
     )
     p_top.add_argument(
         "--refresh", type=float, default=0.5,
@@ -1387,25 +1297,6 @@ def main(argv: list[str] | None = None) -> int:
         "--out", metavar="OUT.prom", help="write the exposition here instead of stdout"
     )
     p_metrics.set_defaults(func=_cmd_metrics)
-
-    p_back = sub.add_parser(
-        "backends",
-        help="list registered kernel backends; --check runs the "
-        "cross-backend conformance harness",
-    )
-    p_back.add_argument(
-        "--check",
-        action="store_true",
-        help="run every registered backend against the reference oracle "
-        "over the conformance shape sweep; exit nonzero on any mismatch",
-    )
-    p_back.add_argument(
-        "--json",
-        metavar="OUT.json",
-        help="write the listing (or, with --check, the conformance report) "
-        "to this path",
-    )
-    p_back.set_defaults(func=_cmd_backends)
 
     p_check = sub.add_parser("selfcheck", help="quick install sanity battery")
     p_check.set_defaults(func=_cmd_selfcheck)

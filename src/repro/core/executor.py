@@ -150,7 +150,6 @@ class TiledQR:
         coexecute: bool = False,
         tracer=None,
         batch_updates: bool = False,
-        backend=None,
         tree: str | None = None,
     ) -> TiledQRRun:
         """Numerically factorize ``a`` under an optimized plan.
@@ -175,11 +174,6 @@ class TiledQR:
             Execute trailing-matrix updates as coarsened row-panel
             batches (ignored under ``coexecute``, which follows the
             simulator's per-tile schedule).  See ``docs/PERFORMANCE.md``.
-        backend:
-            Kernel backend for the numeric execution — a registered name
-            or :class:`~repro.kernels.backends.KernelBackend` object
-            (``None`` = the plan's selected backend for its main device,
-            falling back to ``reference``).  See ``docs/KERNELS.md``.
         tree:
             Within-panel elimination tree (see :mod:`repro.dag.trees`):
             a registered name/alias, or ``"auto"`` to let the optimizer
@@ -219,13 +213,8 @@ class TiledQR:
             report = trace.report(grid=tiled.grid_shape, plan=p.describe())
             report.meta["trace"] = trace
             return TiledQRRun(plan=p, report=report, factorization=fact)
-        if backend is None:
-            selected = p.notes.get("backends") if isinstance(p.notes, dict) else None
-            if isinstance(selected, dict):
-                backend = selected.get(p.main_device)
         fact = SerialRuntime(
-            elimination, tracer=tracer, batch_updates=batch_updates,
-            backend=backend,
+            elimination, tracer=tracer, batch_updates=batch_updates
         ).factorize(arr, p.tile_size)
         if simulate:
             run = self.simulate(n, p.tile_size, plan=p)

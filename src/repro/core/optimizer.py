@@ -14,7 +14,6 @@ from ..config import DEFAULT_TILE_SIZE, ELEMENT_SIZE_BYTES
 from ..devices.registry import SystemSpec
 from ..errors import PlanError
 from ..observability.decisions import DecisionAudit
-from .backend_select import select_kernel_backends
 from .device_count import order_by_update_speed, select_num_devices
 from .distribution import guide_for_participants
 from .main_device import select_main_device
@@ -36,9 +35,7 @@ class Optimizer:
         Bytes per matrix element for the Eq. 11 communication model.
     profile:
         Optional :class:`~repro.observability.profile.ProfileStore` of
-        measured kernel timings; when it carries backend-tagged
-        measurements, :meth:`plan` selects the fastest measured kernel
-        backend per participant device (``plan.notes["backends"]``).
+        measured kernel timings; :meth:`select_tree` weighs tasks by it.
     """
 
     def __init__(
@@ -135,9 +132,6 @@ class Optimizer:
         )
         guide = tuple(guide_list)
         ratio = [ratio_map[d] for d in participants]
-        backends = select_kernel_backends(
-            participants, tile_size, profile=self.profile, audit=audit
-        )
         logger.debug(
             "plan %dx%d b=%d: main=%s (Alg.2%s), p=%d of %d (Alg.3 "
             "optimum %d), ratio=%s guide_len=%d",
@@ -158,7 +152,6 @@ class Optimizer:
                 "ratio": ratio,
                 "grid": (grid_rows, grid_cols),
                 "audit": audit,
-                "backends": backends,
             },
         )
         if tree is not None:

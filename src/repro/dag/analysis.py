@@ -114,7 +114,6 @@ def task_weight_model(
     tile_size: int,
     profile=None,
     device: str | None = None,
-    backend: str | None = None,
 ) -> Callable[[Task], float]:
     """Per-task cost model for :func:`bottom_level_ranks`.
 
@@ -142,9 +141,7 @@ def task_weight_model(
         total_flops = 0.0
         total_seconds = 0.0
         for name in flop_of:
-            stats = profile.stats(
-                name, device=device, tile_size=tile_size, backend=backend
-            )
+            stats = profile.stats(name, device=device, tile_size=tile_size)
             if stats is not None and stats.mean_seconds > 0.0:
                 seconds[name] = stats.mean_seconds
                 total_seconds += stats.mean_seconds

@@ -29,15 +29,7 @@ from .ttqrt import ttqrt
 from .ttmqr import ttmqr
 from .batched import tsmqr_batch, ttmqr_batch, unmqr_batch
 from .tsqr import TSQRResult, tsqr
-from .backends import (
-    KernelBackend,
-    FunctionBackend,
-    register_backend,
-    get_backend,
-    available_backends,
-    resolve_backend,
-    DEFAULT_BACKEND,
-)
+from .backends import FunctionBackend, register_backend, get_backend
 from .flops import (
     flops_geqrt,
     flops_unmqr,
@@ -80,13 +72,9 @@ __all__ = [
     "ttmqr_batch",
     "TSQRResult",
     "tsqr",
-    "KernelBackend",
     "FunctionBackend",
     "register_backend",
     "get_backend",
-    "available_backends",
-    "resolve_backend",
-    "DEFAULT_BACKEND",
     "flops_geqrt",
     "flops_unmqr",
     "flops_unmqr_batch",

@@ -117,7 +117,7 @@ def ttmqr_batch(
 
     The TT counterpart of :func:`tsmqr_batch`: numerically the same
     application (only ``V2``/``Tf`` are seen), kept as a named entry
-    point so backends can specialize the triangular-``V2`` case and so
+    point so the kernel table can specialize the triangular-``V2`` case and so
     the ``TTMQR_BATCH`` DAG tasks have a first-class kernel.
     """
     if factors.kind != "TT":

@@ -27,7 +27,6 @@ from ..devices.registry import SystemSpec
 STAGE_MAIN_DEVICE = "main_device"
 STAGE_DEVICE_COUNT = "device_count"
 STAGE_DISTRIBUTION = "distribution"
-STAGE_BACKEND = "kernel_backend"
 STAGE_TREE = "elimination_tree"
 
 

@@ -61,7 +61,6 @@ def predicted_durations(
     profile,
     tile_size: int,
     device: str | None = None,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """Per-tile predicted seconds per kernel kind from a ProfileStore.
 
@@ -75,7 +74,7 @@ def predicted_durations(
     for kind in TaskKind:
         if kind.is_batch:
             continue
-        st = profile.stats(kind, device=device, tile_size=tile_size, backend=backend)
+        st = profile.stats(kind, device=device, tile_size=tile_size)
         if st is not None and st.mean_seconds > 0.0:
             out[kind.value] = st.mean_seconds
     return out

@@ -209,7 +209,7 @@ def write_failure_bundle(
         snapshot metadata when the file exists) so a postmortem can say
         where to resume from.
     meta:
-        Run parameters (runtime name, grid, tree, backend, seed, ...)
+        Run parameters (runtime name, grid, tree, seed, ...)
         recorded under ``manifest["run"]``.
     """
     path = Path(path)

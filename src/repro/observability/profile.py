@@ -154,11 +154,10 @@ class RunProfile:
 
 @dataclass(frozen=True)
 class KernelStats:
-    """Merged statistics for one ``(device, kind, tile size, backend)``
-    slice.
+    """Merged statistics for one ``(device, kind, tile size)`` slice.
 
-    ``device`` / ``tile_size`` / ``backend`` are ``None`` when the slice
-    pools over that axis.  ``ewma_seconds`` folds per-run means
+    ``device`` / ``tile_size`` are ``None`` when the slice pools over
+    that axis.  ``ewma_seconds`` folds per-run means
     oldest-to-newest with weight :data:`EWMA_ALPHA` on the newest run.
     """
 
@@ -174,7 +173,6 @@ class KernelStats:
     p50_seconds: float
     p95_seconds: float
     total_flops: float
-    backend: str | None = None
 
     @property
     def gflops(self) -> float:
@@ -184,16 +182,16 @@ class KernelStats:
         return self.total_flops / self.total_seconds / 1e9
 
 
-def _entry_key(
-    device: str, kind: str, tile_size: int, backend: str = "reference"
-) -> str:
-    return f"{device}|{kind}|{tile_size}|{backend}"
+def _entry_key(device: str, kind: str, tile_size: int) -> str:
+    # The fourth field once named a kernel backend; it stays, constant,
+    # so stores written with and without it load alike.
+    return f"{device}|{kind}|{tile_size}|reference"
 
 
-def _split_key(key: str) -> tuple[str, str, int, str]:
-    """Parse a ``device|kind|b|backend`` entry key."""
-    device, kind, b, backend = key.rsplit("|", 3)
-    return device, kind, int(b), backend
+def _split_key(key: str) -> tuple[str, str, int]:
+    """Parse a ``device|kind|b|<any>`` entry key to ``(device, kind, b)``."""
+    device, kind, b, _ = key.rsplit("|", 3)
+    return device, kind, int(b)
 
 
 class ProfileStore:
@@ -224,7 +222,6 @@ class ProfileStore:
         run_id: str | None = None,
         recorded_at: str = "",
         meta: dict | None = None,
-        backend: str = "reference",
     ) -> str:
         """Fold one recorded (or simulated) trace in as a new run.
 
@@ -232,9 +229,6 @@ class ProfileStore:
         kind — ``ncols`` calls of ``duration / ncols`` seconds each — so
         total per-kernel seconds are preserved and the statistics stay
         per-tile comparable across batched and unbatched runs.
-        ``backend`` names the kernel backend that executed the trace
-        (one trace = one backend); it becomes the fourth statistics
-        axis, feeding :meth:`backend_ranking`.
 
         Returns the run id (a content hash unless ``run_id`` is given);
         re-ingesting identical content is a no-op.
@@ -246,7 +240,7 @@ class ProfileStore:
             ncols = rec.task.ncols
             kind = rec.task.kind.single
             per_call = rec.duration / ncols
-            key = _entry_key(rec.device_id, kind.value, tile_size, backend)
+            key = _entry_key(rec.device_id, kind.value, tile_size)
             entry = kernels.setdefault(key, KernelEntry())
             entry.add(per_call, ncols, kernel_flops(rec.task.kind, tile_size, ncols))
         run = RunProfile(
@@ -263,7 +257,6 @@ class ProfileStore:
         run_id: str | None = None,
         recorded_at: str = "",
         meta: dict | None = None,
-        backend: str = "reference",
     ) -> str:
         """Fold a :meth:`MetricsRegistry.snapshot` in as a new run.
 
@@ -294,7 +287,7 @@ class ProfileStore:
                 tiles_total = float(tiles.get("total", calls))
                 scale = tiles_total / calls if calls else 1.0
                 count = int(round(tiles_total))
-            key = _entry_key(device, kind.single.value, tile_size, backend)
+            key = _entry_key(device, kind.single.value, tile_size)
             entry = kernels.setdefault(key, KernelEntry())
             entry.count += count
             entry.total_seconds += float(h["total"])
@@ -385,19 +378,15 @@ class ProfileStore:
     def tile_sizes(self) -> list[int]:
         return sorted({_split_key(k)[2] for r in self.runs.values() for k in r.kernels})
 
-    def backends(self) -> list[str]:
-        return sorted({_split_key(k)[3] for r in self.runs.values() for k in r.kernels})
-
     def stats(
         self,
         kind: str | TaskKind,
         device: str | None = None,
         tile_size: int | None = None,
         alpha: float = EWMA_ALPHA,
-        backend: str | None = None,
     ) -> KernelStats | None:
         """Merged statistics for a kernel kind, optionally filtered by
-        device, tile size, and backend (``None`` pools over that axis).
+        device and tile size (``None`` pools over that axis).
         Returns ``None`` when nothing matches."""
         kind_name = kind.single.value if isinstance(kind, TaskKind) else str(kind)
         count = 0
@@ -412,14 +401,12 @@ class ProfileStore:
             run_count = 0
             run_total = 0.0
             for key, entry in run.kernels.items():
-                dev, kname, b, bk = _split_key(key)
+                dev, kname, b = _split_key(key)
                 if kname != kind_name:
                     continue
                 if device is not None and dev != device:
                     continue
                 if tile_size is not None and b != tile_size:
-                    continue
-                if backend is not None and bk != backend:
                     continue
                 count += entry.count
                 total += entry.total_seconds
@@ -450,7 +437,6 @@ class ProfileStore:
             device=device,
             kind=kind_name,
             tile_size=tile_size,
-            backend=backend,
             count=count,
             total_seconds=total,
             mean_seconds=mean,
@@ -462,87 +448,28 @@ class ProfileStore:
             total_flops=flops,
         )
 
-    def backend_ranking(
-        self,
-        device: str | None = None,
-        tile_size: int | None = None,
-        kinds: list[str] | None = None,
-    ) -> list[tuple[str, float]]:
-        """Backends ordered fastest-first by summed mean per-call seconds.
-
-        Each measured backend is scored as the sum of its mean per-call
-        seconds over the kernel kinds *every* candidate has measurements
-        for (restricting to common kinds keeps the comparison fair: a
-        backend measured only on cheap kernels must not win on missing
-        data).  When the candidates share no kind, each is scored on its
-        own measured kinds — the caller should treat such a ranking as
-        weak evidence (``best_backend`` still returns its head).
-        """
-        kind_list = list(kinds) if kinds is not None else self.kinds()
-        per: dict[str, dict[str, float]] = {}
-        for be in self.backends():
-            means = {}
-            for kind in kind_list:
-                st = self.stats(kind, device=device, tile_size=tile_size, backend=be)
-                if st is not None:
-                    means[kind] = st.mean_seconds
-            if means:
-                per[be] = means
-        if not per:
-            return []
-        common = set.intersection(*(set(m) for m in per.values()))
-        out = [
-            (be, sum(m[k] for k in (common or m)))
-            for be, m in per.items()
-        ]
-        out.sort(key=lambda t: (t[1], t[0]))
-        return out
-
-    def best_backend(
-        self,
-        device: str | None = None,
-        tile_size: int | None = None,
-        kinds: list[str] | None = None,
-    ) -> str | None:
-        """Fastest measured backend per :meth:`backend_ranking` (or None)."""
-        ranking = self.backend_ranking(device=device, tile_size=tile_size, kinds=kinds)
-        return ranking[0][0] if ranking else None
-
     def table(self) -> list[KernelStats]:
-        """One :class:`KernelStats` per measured ``(device, kind, b, backend)``."""
-        keys = sorted(
-            {_split_key(k) for r in self.runs.values() for k in r.kernels}
-        )
+        """One :class:`KernelStats` per measured ``(device, kind, b)``."""
+        keys = sorted({_split_key(k) for r in self.runs.values() for k in r.kernels})
         out = []
-        for dev, kind, b, bk in keys:
-            st = self.stats(kind, device=dev, tile_size=b, backend=bk)
+        for dev, kind, b in keys:
+            st = self.stats(kind, device=dev, tile_size=b)
             if st is not None:
-                out.append(
-                    KernelStats(
-                        device=dev, kind=kind, tile_size=b, backend=bk,
-                        count=st.count, total_seconds=st.total_seconds,
-                        mean_seconds=st.mean_seconds, ewma_seconds=st.ewma_seconds,
-                        min_seconds=st.min_seconds, max_seconds=st.max_seconds,
-                        p50_seconds=st.p50_seconds, p95_seconds=st.p95_seconds,
-                        total_flops=st.total_flops,
-                    )
-                )
+                out.append(st)
         return out
 
     def report(self) -> str:
-        """Human-readable per-(device, kind, tile, backend) statistics table."""
+        """Human-readable per-(device, kind, tile) statistics table."""
         lines = [
             f"kernel profile store: {self.num_runs} run(s), "
-            f"{len(self.devices())} device(s), tile sizes {self.tile_sizes()}, "
-            f"backends {self.backends()}",
-            f"  {'device':12s} {'kernel':6s} {'b':>4s} {'backend':10s} {'calls':>7s} "
+            f"{len(self.devices())} device(s), tile sizes {self.tile_sizes()}",
+            f"  {'device':12s} {'kernel':6s} {'b':>4s} {'calls':>7s} "
             f"{'total ms':>10s} {'mean us':>9s} {'ewma us':>9s} "
             f"{'p50 us':>8s} {'p95 us':>8s} {'GF/s':>7s}",
         ]
         for st in self.table():
             lines.append(
-                f"  {st.device:12s} {st.kind:6s} {st.tile_size:4d} "
-                f"{(st.backend or '-'):10s} {st.count:7d} "
+                f"  {st.device:12s} {st.kind:6s} {st.tile_size:4d} {st.count:7d} "
                 f"{st.total_seconds * 1e3:10.3f} {st.mean_seconds * 1e6:9.1f} "
                 f"{st.ewma_seconds * 1e6:9.1f} {st.p50_seconds * 1e6:8.1f} "
                 f"{st.p95_seconds * 1e6:8.1f} {st.gflops:7.2f}"
@@ -559,10 +486,8 @@ class ProfileStore:
         fits.
         """
         acc: dict[Step, dict[int, tuple[float, int]]] = {s: {} for s in Step}
-        # Pool over backends: one (dev, kind, b) visit regardless of how
-        # many backends measured it (stats() already sums across them).
         for dev, kind, b in sorted(
-            {_split_key(k)[:3] for r in self.runs.values() for k in r.kernels}
+            {_split_key(k) for r in self.runs.values() for k in r.kernels}
         ):
             if device is not None and dev != device:
                 continue

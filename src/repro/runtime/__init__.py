@@ -10,10 +10,12 @@
   tile arena (the paper's Fig. 7 manager/computing-thread structure).
 
 All three take their settings as one frozen :class:`RunOptions`
-(elimination tree, tracer, bus, batching, backend, and the resilience
+(elimination tree, tracer, bus, batching, and the resilience
 controls — retry policy, chaos, health checks, periodic checkpoints,
 failure bundles; see :mod:`repro.resilience` and ``docs/RELIABILITY.md``);
 :func:`resume_factorization` finishes an interrupted checkpointed run.
+Every runtime calls the tile kernels through the one kernel table,
+:mod:`repro.kernels.backends`, read at call time.
 """
 
 from .factorization import TiledQRFactorization

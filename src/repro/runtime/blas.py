@@ -1,5 +1,5 @@
 """NumPy's bundled OpenBLAS, reached through ctypes: its thread count and
-the LAPACK tile kernels the reference backend calls
+the LAPACK tile kernels the kernel table calls
 (:mod:`repro.kernels.lapack`).
 
 One BLAS thread per kernel worker, as PLASMA runs it; unpinned, each

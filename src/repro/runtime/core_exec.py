@@ -1,7 +1,10 @@
 """Shared task-application core for the numeric runtimes.
 
-A single function maps one DAG task onto the tile kernels; both the
-serial and the threaded runtime call it, so they cannot diverge.  The
+A single function maps one DAG task onto the tile kernels; every
+runtime calls it, so they cannot diverge.  It looks the kernels up in
+the kernel table (:data:`repro.kernels.backends.TABLE`) on every call,
+so a table swapped in with ``register_backend(..., replace=True)``
+reaches the next task of every runtime.  The
 coarsened ``*_BATCH`` update tasks route through the row-panel kernels
 (:mod:`repro.kernels.batched`) — zero-copy panel views when the matrix
 is in row-major storage, gather/scatter otherwise.
@@ -23,7 +26,7 @@ from typing import Union
 from ..dag.builder import task_accesses
 from ..dag.tasks import Task, TaskKind
 from ..errors import DAGError, RetryExhaustedError, TaskTimeoutError
-from ..kernels.backends import KernelBackend, resolve_backend
+from ..kernels import backends
 from ..kernels.geqrt import GEQRTResult
 from ..kernels.tsqrt import TSQRTResult
 from ..kernels.workspace import Workspace
@@ -37,7 +40,6 @@ def apply_task(
     a: TiledMatrix,
     factors: dict[tuple, Factors],
     workspace: Workspace | None = None,
-    backend: KernelBackend | None = None,
 ) -> Factors | None:
     """Execute one task against the tiled matrix, in place.
 
@@ -54,17 +56,12 @@ def apply_task(
     workspace:
         Scratch arena for the update kernels' GEMMs.  Must be private to
         the calling worker; ``None`` uses the thread-local default.
-    backend:
-        The :class:`~repro.kernels.backends.KernelBackend` executing the
-        kernels; ``None`` means the ``reference`` backend.  Runtimes
-        resolve this once per run and pass the object, so the per-task
-        cost is one attribute lookup.
 
     Returns
     -------
     The factors produced (for factorization tasks) or ``None`` (updates).
     """
-    kern = backend if backend is not None else resolve_backend(None)
+    kern = backends.TABLE
     k = task.k
     if task.kind is TaskKind.GEQRT:
         f = kern.geqrt(a.tile(task.row, k))
@@ -138,7 +135,6 @@ def apply_task_resilient(
     workspace: Workspace | None = None,
     *,
     policy,
-    backend: KernelBackend | None = None,
     chaos=None,
     health: bool = False,
     health_ref_norm: float | None = None,
@@ -213,7 +209,7 @@ def apply_task_resilient(
             t0 = perf_counter()
             if chaos is not None:
                 chaos.before_task(task, device)
-            produced = apply_task(task, a, factors, workspace, backend=backend)
+            produced = apply_task(task, a, factors, workspace)
             elapsed = perf_counter() - t0
             if policy.deadline is not None and elapsed > policy.deadline:
                 raise TaskTimeoutError(

@@ -60,7 +60,6 @@ from time import perf_counter
 from ..core.plan import DistributionPlan
 from ..dag.tasks import Task, TaskKind
 from ..errors import ReproError, SimulationError, WorkerFailoverError
-from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace, drain_fallbacks
 from .arena import FACTOR_KINDS, Arena, ArenaFactors, copy_tiles
 from .blas import blas_threads, set_num_threads
@@ -73,15 +72,14 @@ WINDOW = 2
 
 
 def _worker_main(
-    conn, arena: Arena, w: int, device: str, backend_name: str, policy, fault_plan,
+    conn, arena: Arena, w: int, device: str, policy, fault_plan,
     health: bool, ref_norm, trace: bool, counters: bool,
 ) -> None:
     """Worker process body: run the tasks whose ids arrive on ``conn``, in
     order, on the arena, until the manager says stop (``None``).
 
     Each reply is ``(task id, error, counter deltas, kernel events)``;
-    an error reply ends the worker.  The backend is resolved by name
-    here, so spawn and fork behave alike.
+    an error reply ends the worker.
     """
     from ..observability.metrics import MetricsRegistry
 
@@ -105,7 +103,6 @@ def _worker_main(
         events.clear()
 
     def serve() -> None:
-        kern = resolve_backend(backend_name)
         tiled, tasks, factors = arena.tiled, arena.tasks, ArenaFactors(arena)
         done = 0
         while (msg := conn.recv()) is not None:
@@ -120,11 +117,11 @@ def _worker_main(
                 task = Task(t.kind, t.k, t.row, t.row2, j0, j1)
             start = perf_counter()
             if policy is None:
-                produced = apply_task(task, tiled, factors, workspace, backend=kern)
+                produced = apply_task(task, tiled, factors, workspace)
             else:  # the write set is saved in the arena, for failover too
                 produced = apply_task_resilient(
                     task, tiled, factors, workspace,
-                    policy=policy, backend=kern, chaos=chaos, health=health,
+                    policy=policy, chaos=chaos, health=health,
                     health_ref_norm=ref_norm, metrics=metrics, device=device,
                     save=partial(arena.snapshot, w, done + 1),
                 )
@@ -159,8 +156,7 @@ class MultiprocessRuntime(TaskGraphRuntime):
     reply; with a bus ``heartbeat_interval`` a silent worker raises
     ``heartbeat.missed`` before its reply deadline (``policy.deadline``
     per task in flight, plus one second) fails it over.  ``chaos`` ships
-    its fault plan to every worker, and ``backend`` is resolved by name
-    in each worker, so it must be registered at import time.
+    its fault plan to every worker.
     """
 
     name = "multiprocess"
@@ -275,7 +271,7 @@ class _Manager:
         for w, dev in enumerate(self.devices):
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_worker_main, daemon=True, args=(
-                child, self.arena, w, dev, opts.backend.name, run.policy, opts.fault_plan,
+                child, self.arena, w, dev, run.policy, opts.fault_plan,
                 opts.health_checks, run.ref_norm, watched, self.metrics is not None,
             ))
             proc.start()

@@ -47,7 +47,6 @@ from ..dag import build_dag
 from ..dag.analysis import bottom_level_ranks  # noqa: F401
 from ..dag.trees import canonical_tree
 from ..errors import ConfigError, ShapeError, SimulationError
-from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace, drain_fallbacks
 from ..tiles import TiledMatrix
 from .blas import blas_threads
@@ -75,6 +74,9 @@ def resolve_policy(retry_policy, chaos, health_checks):
 @dataclass(frozen=True)
 class RunOptions:
     """The settings every runtime takes, as keywords of its constructor.
+
+    The kernels are not a setting: every runtime calls the kernel table
+    (:mod:`repro.kernels.backends`), read on every task.
 
     Attributes
     ----------
@@ -113,12 +115,6 @@ class RunOptions:
         see :mod:`repro.runtime.checkpoint`) after every
         ``checkpoint_every`` completed tasks, at a quiescent frontier;
         ``resume_factorization`` finishes such a run on any runtime.
-    backend:
-        Kernel backend — a registered name, a
-        :class:`~repro.kernels.backends.KernelBackend` object, or
-        ``None`` for ``reference``.  Resolved here, so unknown names fail
-        at construction.  Threaded workers share the object (it must be
-        thread-safe); multiprocess workers resolve it by name.
     bus:
         Optional :class:`repro.observability.TelemetryBus`; the run
         publishes live ``run.start``/``task.start``/``task.finish``/
@@ -141,13 +137,11 @@ class RunOptions:
     metrics: Any = None
     checkpoint_every: int | None = None
     checkpoint_path: Any = None
-    backend: Any = None
     bus: Any = None
     bundle_out: Any = None
 
     def __post_init__(self):
         object.__setattr__(self, "elimination", canonical_tree(self.elimination))
-        object.__setattr__(self, "backend", resolve_backend(self.backend))
 
     @property
     def policy(self):
@@ -346,7 +340,6 @@ class Runtime:
             **self._describe(),
             "elimination": opts.elimination,
             "batch_updates": opts.batch_updates,
-            "backend": opts.backend.name,
             "tile_size": tile_size,
         }
         if opts.retry_policy is not None:
@@ -443,7 +436,6 @@ class TaskGraphRun:
         self.done = len(done_ids)
         self.workspaces: list[Workspace] = []
 
-        self.backend = opts.backend
         self.metrics = opts.metrics
         self.bus = opts.bus
         self.tracer = opts.active_tracer
@@ -556,12 +548,10 @@ class TaskGraphRun:
 
     def _apply(self, task, workspace, device):
         if self.policy is None:
-            return apply_task(
-                task, self.tiled, self.factors, workspace, backend=self.backend
-            )
+            return apply_task(task, self.tiled, self.factors, workspace)
         return apply_task_resilient(
             task, self.tiled, self.factors, workspace,
-            policy=self.policy, backend=self.backend, chaos=self.chaos,
+            policy=self.policy, chaos=self.chaos,
             health=self.health, health_ref_norm=self.ref_norm,
             metrics=self.metrics, tracer=self.tracer, device=device, bus=self.bus,
         )
@@ -656,13 +646,9 @@ def tiled_qr(
     tile_size: int = DEFAULT_TILE_SIZE,
     elimination: str = "TS",
     batch_updates: bool = False,
-    backend=None,
 ) -> TiledQRFactorization:
     """One-call tiled QR: ``f = tiled_qr(A); Q, R = f.q_dense(), f.r_dense()``.
 
-    This is the package's quickstart entry point.  ``backend`` names a
-    registered kernel backend (``tiledqr backends`` lists them).
+    This is the package's quickstart entry point.
     """
-    return SerialRuntime(
-        elimination, batch_updates=batch_updates, backend=backend
-    ).factorize(a, tile_size)
+    return SerialRuntime(elimination, batch_updates=batch_updates).factorize(a, tile_size)

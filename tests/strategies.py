@@ -4,8 +4,7 @@ The kernel test modules all property-test over the same axes — tile
 edge ``b``, an RNG seed, and (for batched kernels) a tile count — and
 all build inputs the same way, via ``np.random.default_rng(seed)``.
 This module is the single home for those strategies and builders so the
-per-kernel test files and the cross-backend conformance harness draw
-from identical distributions.
+per-kernel test files draw from identical distributions.
 """
 
 from __future__ import annotations

@@ -9,14 +9,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.kernels.backends import (
-    KERNEL_NAMES, FunctionBackend, get_backend, register_backend, unregister_backend,
-)
+from repro.kernels.backends import KERNEL_NAMES, get_backend
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.runtime import blas
 from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.serial import SerialRuntime
 from repro.runtime.threaded import ThreadedRuntime
+from tests.conftest import kernel_table
 
 pytestmark = pytest.mark.skipif(
     blas.get_num_threads() is None, reason="NumPy's BLAS thread count is not controllable"
@@ -40,8 +39,8 @@ def _matrix(n=128, seed=0):
     return np.random.default_rng(seed).standard_normal((n, n))
 
 
-def _probe_backend(name, on_call):
-    """The reference kernels, calling ``on_call(kernel_name)`` before each."""
+def _probe(on_call):
+    """The table's kernels, calling ``on_call(kernel_name)`` before each."""
     ref = get_backend("reference")
 
     def wrap(kernel):
@@ -53,14 +52,11 @@ def _probe_backend(name, on_call):
 
         return probed
 
-    return FunctionBackend(
-        name=name, description="reference kernels behind a probe",
-        **{k: wrap(k) for k in KERNEL_NAMES},
-    )
+    return kernel_table(**{k: wrap(k) for k in KERNEL_NAMES})
 
 
 def _recorder(seen):
-    return _probe_backend("blas-probe", lambda kernel: seen.append(blas.get_num_threads()))
+    return _probe(lambda kernel: seen.append(blas.get_num_threads()))
 
 
 class TestThreadedScope:
@@ -76,12 +72,14 @@ class TestThreadedScope:
 
     def test_kernels_in_workers_see_one_thread(self):
         seen = []
-        ThreadedRuntime(2, backend=_recorder(seen)).factorize(_matrix(), B)
+        with _recorder(seen):
+            ThreadedRuntime(2).factorize(_matrix(), B)
         assert seen and set(seen) == {1}
 
     def test_serial_kernels_see_one_thread(self):
         seen = []
-        SerialRuntime(backend=_recorder(seen)).factorize(_matrix(), B)
+        with _recorder(seen):
+            SerialRuntime().factorize(_matrix(), B)
         assert seen and set(seen) == {1}
         assert blas.get_num_threads() == CALLER
 
@@ -102,19 +100,18 @@ class TestThreadedScope:
             if first_two:
                 meet.wait()
 
-        backend = _probe_backend("blas-probe", record_and_meet)
-
         def run(key):
             try:
-                results[key] = ThreadedRuntime(2, backend=backend).factorize(_matrix(), B)
+                results[key] = ThreadedRuntime(2).factorize(_matrix(), B)
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
+        with _probe(record_and_meet):
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
         assert not errors and len(results) == 2
         assert set(seen) == {1}
         assert blas.get_num_threads() == CALLER
@@ -162,22 +159,21 @@ def test_r_is_bit_identical_across_runtimes(optimizer, n, b):
 class TestMultiprocessWorker:
     @pytest.fixture
     def probe(self):
-        # Workers resolve backends by name in the child, so the probe must
-        # be registered; it fails any kernel that sees more than one thread.
+        # Forked workers inherit the table; the probe fails any kernel
+        # that sees more than one thread.
         def check(kernel):
             if (count := blas.get_num_threads()) != 1:
                 raise RuntimeError(f"{kernel} ran with {count} BLAS threads")
 
-        register_backend(_probe_backend("blas-one-thread", check))
-        yield "blas-one-thread"
-        unregister_backend("blas-one-thread")
+        with _probe(check):
+            yield
 
     def test_worker_kernels_see_one_thread(self, probe, optimizer):
         if "fork" not in mp.get_all_start_methods():
-            pytest.skip("the probe backend reaches workers only through fork")
+            pytest.skip("the probe table reaches workers only through fork")
         plan = optimizer.plan(matrix_size=128, tile_size=B, num_devices=2)
         a = _matrix()
-        fact = MultiprocessRuntime(plan, backend=probe).factorize(a.copy(), B)
+        fact = MultiprocessRuntime(plan).factorize(a.copy(), B)
         expected = SerialRuntime().factorize(a.copy(), B)
         assert np.array_equal(fact.r_dense(), expected.r_dense())
         assert blas.get_num_threads() == CALLER

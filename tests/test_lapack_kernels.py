@@ -1,7 +1,9 @@
 """The LAPACK tile kernels against the Python code they replace, which
 runs with the OpenBLAS loader patched out: GEQRT/TSQRT/TTQRT through
 ``?geqrt``/``?tpqrt`` against the reflector loops, and UNMQR/TSMQR/TTMQR
-through ``?gemqrt``/``?tpmqrt`` against the NumPy GEMMs."""
+through ``?gemqrt``/``?tpmqrt`` against the NumPy GEMMs.  The kernel
+table's workspace, aliasing, read-only-input and float32 checks run on
+both paths."""
 
 from __future__ import annotations
 
@@ -10,8 +12,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.kernels import build_t_factor, geqrt, lapack, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
-from repro.kernels.backends.conformance import tolerance_for
+from repro.kernels import (
+    Workspace,
+    build_t_factor,
+    geqrt,
+    lapack,
+    tsmqr,
+    tsmqr_batch,
+    tsqrt,
+    ttmqr,
+    ttmqr_batch,
+    ttqrt,
+    unmqr,
+    unmqr_batch,
+)
 from repro.runtime import blas
 from repro.tiles import TiledMatrix
 
@@ -23,6 +37,13 @@ pytestmark = pytest.mark.skipif(
 TILE_SIZES = (1, 2, 16, 64, 128)
 #: A column whose sum of squares (4.8e-322) underflows to a denormal.
 TINY = 2.2e-161
+#: Agreement bound per dtype: 1e-12 absolute in float64; float32 gets
+#: about 100x its machine epsilon.
+TOLERANCES = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-4}
+
+
+def tolerance_for(dtype) -> float:
+    return TOLERANCES[np.dtype(dtype)]
 
 
 def _factors(f):
@@ -359,3 +380,110 @@ def test_malformed_block_t_is_rejected(rng, shape):
         unmqr(dataclasses.replace(fg, tf=tf), rng.standard_normal((64, 4)))
     with pytest.raises(KernelError, match="Tf must have shape"):
         tsmqr(dataclasses.replace(fe, tf=tf), *rng.standard_normal((2, 64, 4)))
+
+
+# -- the kernel table's contract, on both paths ---------------------------------
+
+
+@pytest.fixture(params=["lapack", "loops"])
+def path(request, monkeypatch):
+    """Run the test on LAPACK and on the Python loops and NumPy GEMMs."""
+    if request.param == "loops":
+        monkeypatch.setattr(blas, "_symbols", lambda: None)
+    return request.param
+
+
+@pytest.mark.usefixtures("path")
+class TestKernelContract:
+    def test_shared_workspace_matches_fresh_workspaces(self, rng):
+        b = 8
+        fg = geqrt(rng.standard_normal((b, b)))
+        fe = tsqrt(np.triu(rng.standard_normal((b, b))), rng.standard_normal((b, b)))
+        c = rng.standard_normal((b, 3 * b))
+        c1 = rng.standard_normal((b, 3 * b))
+        c2 = rng.standard_normal((b, 3 * b))
+
+        def run(ws_factory):
+            a, x, y = c.copy(), c1.copy(), c2.copy()
+            unmqr(fg, a, workspace=ws_factory())
+            tsmqr(fe, x, y, workspace=ws_factory())
+            unmqr_batch(fg, a, workspace=ws_factory())
+            return a, x, y
+
+        shared = Workspace()
+        got = run(lambda: shared)
+        want = run(Workspace)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_later_kernel_calls_leave_earlier_outputs_alone(self, rng):
+        b = 8
+        ws = Workspace()
+        fg = geqrt(rng.standard_normal((b, b)))
+        first = rng.standard_normal((b, 2 * b))
+        unmqr(fg, first, workspace=ws)
+        snapshot = first.copy()
+        # Hammer the same arena with other work at other widths.
+        for width in (b, 4 * b, 1):
+            unmqr(fg, rng.standard_normal((b, width)), workspace=ws)
+        fe = tsqrt(np.triu(rng.standard_normal((b, b))), rng.standard_normal((b, b)))
+        tsmqr(fe, rng.standard_normal((b, b)), rng.standard_normal((b, b)), workspace=ws)
+        np.testing.assert_array_equal(first, snapshot)
+
+    @pytest.mark.parametrize("b", (1, 5, 16, 33))
+    def test_read_only_inputs_are_untouched(self, rng, b):
+        """Factorizations leave their inputs alone and updates their
+        factors, ragged bottom tiles and row panels included."""
+        ws = Workspace()
+        a = rng.standard_normal((b + 3, b))
+        r1 = _triangle(rng, b)
+        for kernel, args in (
+            (geqrt, (a,)),
+            (tsqrt, (r1, rng.standard_normal((b, b)))),
+            (tsqrt, (r1, rng.standard_normal((max(1, b - 1), b)))),
+            (ttqrt, (r1, np.triu(rng.standard_normal((b, b))))),
+        ):
+            before = [x.copy() for x in args]
+            kernel(*args)
+            for x, x0 in zip(args, before):
+                np.testing.assert_array_equal(x, x0)
+        fg = geqrt(rng.standard_normal((b, b)))
+        fe = tsqrt(r1, rng.standard_normal((b, b)))
+        ft = ttqrt(r1, np.triu(rng.standard_normal((b, b))))
+        updates = (
+            (unmqr, fg, 1), (tsmqr, fe, 2), (ttmqr, ft, 2),
+            (unmqr_batch, fg, 1), (tsmqr_batch, fe, 2), (ttmqr_batch, ft, 2),
+        )
+        for kernel, f, npanels in updates:
+            before = [x.copy() for x in _factors(f)]
+            for transpose in (True, False):
+                panels = [rng.standard_normal((b, 4 * b)) for _ in range(npanels)]
+                kernel(f, *panels, transpose=transpose, workspace=ws)
+            for x, x0 in zip(_factors(f), before):
+                np.testing.assert_array_equal(x, x0)
+
+    @pytest.mark.parametrize("b", (2, 8, 16))
+    def test_float32_agrees_with_float64(self, rng, b):
+        """Each factorization and its update, run in float32, keeps its
+        dtype and agrees with the same inputs run in float64."""
+        f32 = np.float32
+        a = rng.standard_normal((b, b)).astype(f32)
+        r1 = _triangle(rng, b, f32)
+        bottom = rng.standard_normal((b, b)).astype(f32)
+        c = rng.standard_normal((2 * b, 3 * b)).astype(f32)
+        pairs = (
+            (geqrt, unmqr, (a,), 1),
+            (tsqrt, tsmqr, (r1, bottom), 2),
+            (ttqrt, ttmqr, (r1, np.triu(bottom)), 2),
+        )
+        for factor, update, args, ntiles in pairs:
+            tiles = [c[:b], c[b:]][:ntiles]
+            results = {}
+            for dtype in (f32, np.float64):
+                f = factor(*(x.astype(dtype) for x in args))
+                out = [t.astype(dtype) for t in tiles]
+                update(f, *out, workspace=Workspace())
+                results[dtype] = (f.r, *out)
+            for got, want in zip(results[f32], results[np.float64]):
+                assert got.dtype == f32
+                np.testing.assert_allclose(got, want, rtol=0, atol=tolerance_for(f32))

@@ -6,6 +6,7 @@ be gone when ``factorize`` returns, raises on a worker error, or raises
 ``spawn`` start method (macOS and Windows), where workers attach by name.
 """
 
+import dataclasses
 import multiprocessing
 import os
 from multiprocessing.shared_memory import SharedMemory
@@ -17,10 +18,11 @@ import repro.runtime.arena
 import repro.runtime.multiprocess as mp_runtime
 from repro.dag.tasks import Task, TaskKind
 from repro.errors import SimulationError, WorkerFailoverError
-from repro.kernels.backends import register_backend, unregister_backend
+from repro.kernels.backends import get_backend, register_backend
 from repro.resilience import FaultKind, FaultPlan, FaultSpec, RetryPolicy
 from repro.runtime import tiled_qr
-from tests.conftest import clone_reference
+from repro.runtime.multiprocess import _worker_main
+from tests.conftest import kernel_table
 
 N, B = 64, 16
 
@@ -74,20 +76,21 @@ def test_unlinked_after_a_call(start_method, arenas, matrix, plan, capfd):
     assert "resource_tracker" not in err and "Exception ignored" not in err
 
 
-def test_unlinked_after_a_worker_error(start_method, arenas, matrix, plan):
-    # Fork workers inherit the failing backend; spawned workers cannot
-    # resolve its name.  Either way a worker fails and the call raises.
-    def broken(*_args, **_kwargs):
-        raise RuntimeError("kernel failed")
+def _broken(*_args, **_kwargs):
+    raise RuntimeError("kernel failed")
 
-    register_backend(clone_reference("arena-broken", geqrt=broken))
-    try:
-        with pytest.raises(SimulationError, match="worker"):
-            mp_runtime.MultiprocessRuntime(plan, backend="arena-broken").factorize(
-                matrix.copy(), B
-            )
-    finally:
-        unregister_backend("arena-broken")
+
+def _worker_with_broken_geqrt(*args):
+    """The worker body on a kernel table whose GEQRT fails.  The worker
+    installs the table itself: a spawned worker imports the shipped one."""
+    register_backend(dataclasses.replace(get_backend("reference"), geqrt=_broken), replace=True)
+    return _worker_main(*args)
+
+
+def test_unlinked_after_a_worker_error(start_method, arenas, matrix, plan, monkeypatch):
+    monkeypatch.setattr(mp_runtime, "_worker_main", _worker_with_broken_geqrt)
+    with pytest.raises(SimulationError, match="worker"):
+        mp_runtime.MultiprocessRuntime(plan).factorize(matrix.copy(), B)
     _assert_unlinked(arenas)
 
 
@@ -108,24 +111,19 @@ def test_death_after_a_kernel_restores_its_write_set(arenas, matrix, plan, tmp_p
     committed the task: the manager puts the write set back from the
     worker's slot, so the survivor's replay leaves R bit-identical."""
     if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the dying backend reaches workers only through fork")
+        pytest.skip("the dying kernel reaches workers only through fork")
     marker = tmp_path / "died"
-    reference = clone_reference("arena-probe")
 
     def tsmqr_then_die(*args, **kwargs):
-        reference.tsmqr(*args, **kwargs)
+        base.tsmqr(*args, **kwargs)
         if not marker.exists():
             marker.touch()
             os._exit(17)  # the tiles are updated, the task is not committed
 
-    register_backend(clone_reference("arena-dies", tsmqr=tsmqr_then_die))
-    try:
+    with kernel_table(tsmqr=tsmqr_then_die) as base:
         fact = mp_runtime.MultiprocessRuntime(
-            plan, backend="arena-dies",
-            retry_policy=RetryPolicy(max_attempts=2, backoff=0.0, jitter=0.0),
+            plan, retry_policy=RetryPolicy(max_attempts=2, backoff=0.0, jitter=0.0),
         ).factorize(matrix.copy(), B)
-    finally:
-        unregister_backend("arena-dies")
     assert marker.exists()
     assert np.array_equal(fact.r_dense(), tiled_qr(matrix, B).r_dense())
     _assert_unlinked(arenas)

@@ -151,6 +151,56 @@ class TestProfileStoreIngest:
         loaded = ProfileStore.load(path)
         assert loaded.to_json() == store.to_json()
 
+    #: A store as written before the backend axis went: four-field keys,
+    #: one entry measured under another backend's name.
+    OLD_FORMAT = {
+        "kind": "kernel-profile-store",
+        "schema": 1,
+        "runs": {
+            "run-a": {"recorded_at": "2026-01-01", "meta": {"backend": "reference"}, "kernels": {
+                "dev|GEQRT|16|reference": {
+                    "count": 2, "total_seconds": 2e-3, "min_seconds": 0.9e-3,
+                    "max_seconds": 1.1e-3, "total_flops": 1e6, "samples": [0.9e-3, 1.1e-3],
+                },
+            }},
+            "run-b": {"recorded_at": "2026-01-02", "meta": {"backend": "numba"}, "kernels": {
+                "dev|GEQRT|16|numba": {
+                    "count": 1, "total_seconds": 4e-3, "min_seconds": 4e-3,
+                    "max_seconds": 4e-3, "total_flops": 5e5, "samples": [4e-3],
+                },
+                "dev|TSQRT|16|numba": {
+                    "count": 1, "total_seconds": 3e-3, "min_seconds": 3e-3,
+                    "max_seconds": 3e-3, "total_flops": 5e5, "samples": [3e-3],
+                },
+            }},
+        },
+    }
+
+    def test_old_four_field_keys_pool_over_backends(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(self.OLD_FORMAT))
+        store = ProfileStore.load(path)
+        st_ = store.stats("GEQRT", device="dev", tile_size=16)
+        # The values the backend=None query pooled to before.
+        assert (st_.count, st_.total_seconds, st_.total_flops) == (3, 6e-3, 1.5e6)
+        assert st_.mean_seconds == pytest.approx(2e-3)
+        assert (st_.min_seconds, st_.max_seconds, st_.p50_seconds) == (0.9e-3, 4e-3, 1.1e-3)
+        assert st_.ewma_seconds == pytest.approx(0.3 * 4e-3 + 0.7 * 1e-3)
+        assert [s.kind for s in store.table()] == ["GEQRT", "TSQRT"]
+        # Old keys are kept as written, so the file round-trips unchanged.
+        assert json.loads(store.to_json()) == self.OLD_FORMAT
+
+    def test_new_store_keeps_the_four_field_key(self, tmp_path):
+        store = ProfileStore()
+        store.ingest_trace(small_trace(), tile_size=16, recorded_at="2026-01-01")
+        keys = {k for run in store.runs.values() for k in run.kernels}
+        assert keys and all(k.endswith("|16|reference") for k in keys)
+        loaded = ProfileStore.load(store.save(tmp_path / "store.json"))
+        assert loaded.to_json() == store.to_json()
+        assert loaded.stats("GEQRT", device="dev", tile_size=16) == store.stats(
+            "GEQRT", device="dev", tile_size=16
+        )
+
     def test_load_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{\"kind\": \"something-else\"}")
@@ -317,9 +367,7 @@ class TestDecisionAudit:
         audit = DecisionAudit()
         plan = Optimizer(paper_testbed()).plan(matrix_size=2048, tile_size=512, audit=audit)
         stages = [r.stage for r in audit.records]
-        assert stages == [
-            "main_device", "device_count", "distribution", "kernel_backend",
-        ]
+        assert stages == ["main_device", "device_count", "distribution"]
         assert plan.notes["audit"] is audit
         main_rec = audit.get("main_device")
         assert main_rec.chosen == plan.main_device
@@ -351,7 +399,7 @@ class TestDecisionAudit:
         Optimizer(paper_testbed()).plan(matrix_size=2048, tile_size=512, audit=audit)
         doc = audit.to_dict()
         json.dumps(doc)  # must be JSONL-meta safe
-        assert len(doc["decisions"]) == 4
+        assert len(doc["decisions"]) == 3
 
     def test_single_device_system_records_shortcut(self):
         from repro.devices.registry import SystemSpec

@@ -39,7 +39,9 @@ def _make(name, dist, **options):
 
 class TestConstruction:
     @pytest.mark.parametrize("runtime", RUNTIMES)
-    @pytest.mark.parametrize("keyword", ["progress", "chaos_plan", "no_such_option"])
+    @pytest.mark.parametrize(
+        "keyword", ["progress", "chaos_plan", "no_such_option", "backend"]
+    )
     def test_unknown_keyword_raises_type_error(self, runtime, keyword, dist):
         with pytest.raises(TypeError, match=keyword):
             _make(runtime, dist, **{keyword: None})
@@ -55,7 +57,6 @@ class TestConstruction:
         assert isinstance(rt.options, RunOptions)
         assert rt.options.elimination == "binary"
         assert rt.options.batch_updates
-        assert rt.options.backend.name == "reference"
 
 
 class TestChaosTakesAPlan:
