@@ -28,7 +28,11 @@ is ``C^T := C^T Q``, with the row stride as leading dimension (``q*b``
 for a tile of a row-major panel) and no copy.  The integer arguments
 live in per-worker blocks keyed by call shape (LAPACK writes ``INFO``),
 and ``WORK`` is the worker's :class:`~repro.kernels.workspace.Workspace`
-scratch, so a warm call allocates nothing.
+scratch, so a warm call allocates nothing.  An update on C-contiguous
+tiles then keeps its argument tuple in the factor; a later call with
+the same workspace, direction, tile shapes and dtype repeats it
+(:func:`prepared`) without the checks and lookups, and still checks
+``INFO``.
 
 The factorizations return ``None``, and the updates ``False``, when a
 routine is missing, the dtypes are not one of float32/float64, or (for
@@ -156,7 +160,7 @@ def geqrt(a: np.ndarray, dtype: np.dtype):
     # M, N, NB, LDA, LDT, INFO
     ints, pm, pn, pnb, plda, pldt, pinfo = _args(ws, ("geqrt", m, n, nb, m, nb))
     fn(pm, pn, pnb, _faddress(rv), plda, _faddress(t), pldt,
-       ws.pointer("lapack.work", nb * n, dtype), pinfo)
+       ws.pointer("lapack.work", nb * n, dtype)[1], pinfo)
     _check("geqrt", ints)
     return rv, t
 
@@ -184,7 +188,7 @@ def tpqrt(r1: np.ndarray, a2: np.ndarray, l: int, dtype: np.dtype):
     # M, N, L, NB, LDA, LDB, LDT, INFO
     ints, pm, pn, pl, pnb, plda, pldb, pldt, pinfo = _args(ws, ("tpqrt", m, n, l, nb, n, m, nb))
     fn(pm, pn, pl, pnb, _faddress(r), plda, _faddress(v2), pldb, _faddress(t), pldt,
-       ws.pointer("lapack.work", nb * n, dtype), pinfo)
+       ws.pointer("lapack.work", nb * n, dtype)[1], pinfo)
     _check("tpqrt", ints)
     return r, v2, t
 
@@ -193,8 +197,9 @@ def tpqrt(r1: np.ndarray, a2: np.ndarray, l: int, dtype: np.dtype):
 
 
 def _operands(f, v: np.ndarray) -> tuple:
-    """``(v address, tf address, v, tf)`` of a factor in Fortran order,
-    taken once per factor (not pickled: addresses are per process).
+    """``(v address, tf address, v, tf, prepared call)`` of a factor in
+    Fortran order, taken once per factor (not pickled: addresses are per
+    process); the prepared call (see :func:`prepared`) starts as ``None``.
 
     Two workers may race to set it, each with its own Fortran copies
     when ``v`` or ``tf`` is C-order: a caller holds the tuple it got
@@ -202,9 +207,45 @@ def _operands(f, v: np.ndarray) -> tuple:
     ops = f._lapack
     if ops is None:
         vf, tf = np.asfortranarray(v), np.asfortranarray(f.tf)
-        ops = (vf.ctypes.data, tf.ctypes.data, vf, tf)
+        ops = (vf.ctypes.data, tf.ctypes.data, vf, tf, None)
         object.__setattr__(f, "_lapack", ops)
     return ops
+
+
+def _prepare(f, ops, ws, transpose, shapes, fn, head, mid, tail, ints, work) -> None:
+    """Keep a validated call on C-contiguous tiles for :func:`prepared`.
+    It holds every buffer whose address it passes (``WORK``, the ``INFO``
+    block, and in ``ops`` the Fortran V and T), so a workspace that grows
+    or evicts them cannot leave it dangling."""
+    call = (ws, transpose, *shapes, _blas._symbols(), fn, head, mid, tail, ints, work)
+    object.__setattr__(f, "_lapack", (*ops[:4], call))
+
+
+def prepared(f, transpose: bool, ws: Workspace, c1: np.ndarray, c2=None) -> bool:
+    """Repeat ``f``'s prepared ``?gemqrt`` (``c2`` None) or ``?tpmqrt``
+    call on new tiles, skipping the checks it passed once; ``False``,
+    touching nothing, unless the workspace, direction, tile shapes, dtype
+    and OpenBLAS loader match, every tile is C-contiguous and writeable
+    and BLAS is pinned.  The caller's full path then prepares anew."""
+    ops = f._lapack
+    p = None if ops is None else ops[4]
+    if p is None or p[0] is not ws or p[1] is not transpose:
+        return False
+    _, _, s1, s2, syms, fn, head, mid, tail, ints, _ = p
+    if syms is not _blas._symbols() or _unpinned():
+        return False
+    dtype = ops[3].dtype
+    if c1.shape != s1 or c1.dtype != dtype or not c1.flags.carray:
+        return False
+    if c2 is None:
+        fn(*head, _addressof(_from_buffer(c1)), *tail)
+    elif c2.shape != s2 or c2.dtype != dtype or not c2.flags.carray:
+        return False
+    else:
+        fn(*head, _addressof(_from_buffer(c1)), mid, _addressof(_from_buffer(c2)), *tail)
+    if ints[-1]:
+        _check("gemqrt" if c2 is None else "tpmqrt", ints)
+    return True
 
 
 def _tile(c: np.ndarray) -> tuple[int, int] | None:
@@ -250,9 +291,13 @@ def gemqrt(f, c: np.ndarray, transpose: bool, ws: Workspace) -> bool:
     ints, pm, pn, pk, pnb, pldv, pldt, pldc, pinfo = _args(
         ws, ("gemqrt", n, m, k, nb, m, nb, ldc)
     )
-    fn(_SIDE_R, _TRANS[transpose], pm, pn, pk, pnb, ops[0], pldv, ops[1], pldt, cp, pldc,
-       ws.pointer("lapack.work", n * nb, dtype), pinfo, 1, 1)
+    head = (_SIDE_R, _TRANS[transpose], pm, pn, pk, pnb, ops[0], pldv, ops[1], pldt)
+    work = ws.pointer("lapack.work", n * nb, dtype)
+    tail = (pldc, work[1], pinfo, 1, 1)
+    fn(*head, cp, *tail)
     _check("gemqrt", ints)
+    if ldc == n:
+        _prepare(f, ops, ws, transpose, (c.shape, None), fn, head, None, tail, ints, work)
     return True
 
 
@@ -281,7 +326,11 @@ def tpmqrt(f, c1: np.ndarray, c2: np.ndarray, transpose: bool, ws: Workspace) ->
     ints, pm, pn, pk, pl, pnb, pldv, pldt, plda, pldb, pinfo = _args(
         ws, ("tpmqrt", n, m2, k, l, nb, m2, nb, lda, ldb)
     )
-    fn(_SIDE_R, _TRANS[transpose], pm, pn, pk, pl, pnb, ops[0], pldv, ops[1], pldt, ap, plda,
-       bp, pldb, ws.pointer("lapack.work", n * nb, dtype), pinfo, 1, 1)
+    head = (_SIDE_R, _TRANS[transpose], pm, pn, pk, pl, pnb, ops[0], pldv, ops[1], pldt)
+    work = ws.pointer("lapack.work", n * nb, dtype)
+    tail = (pldb, work[1], pinfo, 1, 1)
+    fn(*head, ap, plda, bp, *tail)
     _check("tpmqrt", ints)
+    if lda == ldb == n:
+        _prepare(f, ops, ws, transpose, (c1.shape, c2.shape), fn, head, plda, tail, ints, work)
     return True

@@ -67,6 +67,9 @@ def tsmqr(
     """
     c1 = np.asarray(c1)
     c2 = np.asarray(c2)
+    ws = workspace if workspace is not None else thread_workspace()
+    if lapack.prepared(factors, transpose, ws, c1, c2):
+        return c1, c2
     v2 = factors.v2
     b = v2.shape[1]
     if c1.ndim != 2 or c1.shape[0] != b:
@@ -78,7 +81,6 @@ def tsmqr(
             f"c1/c2 column counts differ: {c1.shape[1]} vs {c2.shape[1]}"
         )
     check_t(factors.tf, b)
-    ws = workspace if workspace is not None else thread_workspace()
     if lapack.tpmqrt(factors, c1, c2, transpose, ws):
         return c1, c2
     tf = factors.tf

@@ -49,13 +49,15 @@ def unmqr(
         NumPy GEMM temporaries (thread-local default).
     """
     c = np.asarray(c)
+    ws = workspace if workspace is not None else thread_workspace()
+    if lapack.prepared(factors, transpose, ws, c):
+        return c
     if c.ndim != 2 or c.shape[0] != factors.v.shape[0]:
         raise KernelError(
             f"unmqr: tile of shape {c.shape} incompatible with factors of "
             f"shape {factors.v.shape}"
         )
     check_t(factors.tf, factors.v.shape[1])
-    ws = workspace if workspace is not None else thread_workspace()
     if not lapack.gemqrt(factors, c, transpose, ws):
         apply_block_reflector(factors.v, factors.tf, c, transpose=transpose, workspace=ws)
     return c

@@ -73,15 +73,17 @@ class Workspace:
             self._buffers[key] = buf
         return buf[:n].reshape(shape)
 
-    def pointer(self, name: str, size: int, dtype: np.dtype) -> int:
-        """The address of a grow-only buffer of at least ``size``
-        elements (LAPACK's ``WORK``); names are separate from :meth:`temp`'s."""
+    def pointer(self, name: str, size: int, dtype: np.dtype) -> tuple[np.ndarray, int]:
+        """``(buffer, address)`` of a grow-only buffer of at least ``size``
+        elements (LAPACK's ``WORK``); names are separate from :meth:`temp`'s.
+        A larger request replaces the buffer, so whoever keeps the
+        address past the call keeps the buffer with it."""
         key = (name, dtype)
         entry = self._pointers.get(key)
         if entry is None or entry[0].size < size:
             buf = np.empty(max(size, 1), dtype=dtype)
             entry = self._pointers[key] = (buf, buf.ctypes.data)
-        return entry[1]
+        return entry
 
     @property
     def nbytes(self) -> int:

@@ -486,11 +486,9 @@ class ProfileStore:
         fits.
         """
         acc: dict[Step, dict[int, tuple[float, int]]] = {s: {} for s in Step}
-        for dev, kind, b in sorted(
-            {_split_key(k) for r in self.runs.values() for k in r.kernels}
-        ):
-            if device is not None and dev != device:
-                continue
+        keys = {_split_key(k) for r in self.runs.values() for k in r.kernels}
+        # One visit per (kind, b): stats(device=None) already pools devices.
+        for kind, b in sorted({(kind, b) for dev, kind, b in keys if device in (None, dev)}):
             st = self.stats(kind, device=device, tile_size=b)
             if st is None:
                 continue

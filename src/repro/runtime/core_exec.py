@@ -34,6 +34,10 @@ from ..tiles import TiledMatrix
 
 Factors = Union[GEQRTResult, TSQRTResult]
 
+_GEQRT, _UNMQR, _TSQRT, _TTQRT, _TSMQR, _TTMQR = (
+    TaskKind.GEQRT, TaskKind.UNMQR, TaskKind.TSQRT, TaskKind.TTQRT, TaskKind.TSMQR, TaskKind.TTMQR
+)
+
 
 def apply_task(
     task: Task,
@@ -62,43 +66,38 @@ def apply_task(
     The factors produced (for factorization tasks) or ``None`` (updates).
     """
     kern = backends.TABLE
-    k = task.k
-    if task.kind is TaskKind.GEQRT:
-        f = kern.geqrt(a.tile(task.row, k))
+    kind, k = task.kind, task.k
+    tiles = a.tile_rows
+    # Per-tile TSMQR is most of every DAG's tasks: tested first.
+    if kind is _TSMQR or kind is _TTMQR:
+        fn = kern.tsmqr if kind is _TSMQR else kern.ttmqr
+        c1, c2 = tiles[task.row2][task.col], tiles[task.row][task.col]
+        fn(factors[("Ve", task.row, k)], c1, c2, workspace=workspace)
+        return None
+    if kind is _UNMQR:
+        kern.unmqr(factors[("Vg", task.row, k)], tiles[task.row][task.col], workspace=workspace)
+        return None
+    if kind is _GEQRT:
+        f = kern.geqrt(tiles[task.row][k])
         a.set_tile(task.row, k, f.r)
         factors[("Vg", task.row, k)] = f
         return f
-    if task.kind is TaskKind.UNMQR:
-        f = factors[("Vg", task.row, k)]
-        kern.unmqr(f, a.tile(task.row, task.col), workspace=workspace)
-        return None
-    if task.kind is TaskKind.UNMQR_BATCH:
+    if kind is _TSQRT or kind is _TTQRT:
+        top, bot = tiles[task.row2][k], tiles[task.row][k]
+        fe = kern.tsqrt(top, bot) if kind is _TSQRT else kern.ttqrt(top, bot)
+        a.set_tile(task.row2, k, fe.r)
+        bot[...] = 0.0
+        factors[("Ve", task.row, k)] = fe
+        return fe
+    if kind is TaskKind.UNMQR_BATCH:
         f = factors[("Vg", task.row, k)]
         panel = a.row_panel(task.row, task.col, task.col_end)
         kern.unmqr_batch(f, panel, workspace=workspace)
         a.scatter_row_panel(task.row, task.col, task.col_end, panel)
         return None
-    if task.kind in (TaskKind.TSQRT, TaskKind.TTQRT):
-        top = a.tile(task.row2, k)
-        bot = a.tile(task.row, k)
-        fe = kern.tsqrt(top, bot) if task.kind is TaskKind.TSQRT else kern.ttqrt(top, bot)
-        a.set_tile(task.row2, k, fe.r)
-        bot[...] = 0.0
-        factors[("Ve", task.row, k)] = fe
-        return fe
-    if task.kind in (TaskKind.TSMQR, TaskKind.TTMQR):
+    if kind in (TaskKind.TSMQR_BATCH, TaskKind.TTMQR_BATCH):
         fe = factors[("Ve", task.row, k)]
-        fn = kern.tsmqr if task.kind is TaskKind.TSMQR else kern.ttmqr
-        fn(
-            fe,
-            a.tile(task.row2, task.col),
-            a.tile(task.row, task.col),
-            workspace=workspace,
-        )
-        return None
-    if task.kind in (TaskKind.TSMQR_BATCH, TaskKind.TTMQR_BATCH):
-        fe = factors[("Ve", task.row, k)]
-        fn = kern.tsmqr_batch if task.kind is TaskKind.TSMQR_BATCH else kern.ttmqr_batch
+        fn = kern.tsmqr_batch if kind is TaskKind.TSMQR_BATCH else kern.ttmqr_batch
         top = a.row_panel(task.row2, task.col, task.col_end)
         bot = a.row_panel(task.row, task.col, task.col_end)
         fn(fe, top, bot, workspace=workspace)

@@ -1,16 +1,15 @@
 """The task-graph executor shared by the in-process runtimes.
 
-One loop runs the tiled-QR DAG for :class:`SerialRuntime` and
-:class:`~repro.runtime.threaded.ThreadedRuntime` alike.
+One state object runs the tiled-QR DAG for :class:`SerialRuntime`,
+:class:`~repro.runtime.threaded.ThreadedRuntime` and the
+:class:`~repro.runtime.multiprocess.MultiprocessRuntime` manager alike.
 :class:`TaskGraphRun` coerces the input, builds the DAG, seeds a resumed
 run's factor store, keeps the rank-ordered ready heap and the completion
 accounting, and writes the periodic checkpoints; :class:`TaskGraphRuntime`
-publishes ``run.start``/``run.finish`` around it.  The two runtimes
-differ only in *dispatch policy* — how ready tasks reach
-:meth:`TaskGraphRun.execute`: the serial runtime runs each one inline on
-the caller's thread, the threaded runtime hands them to a worker pool.
+publishes ``run.start``/``run.finish`` around it.  The runtimes differ
+only in *dispatch policy* — how tasks reach :meth:`TaskGraphRun.execute`.
 
-Ready tasks pop highest bottom-level rank first (see
+Tasks run highest bottom-level rank first (see
 :func:`repro.dag.analysis.bottom_level_ranks`), with the DAG emission
 order as the deterministic tie-break.  Any topological order produces a
 bit-identical R (unordered tasks touch disjoint tile rows), so the
@@ -20,10 +19,14 @@ frontier-shaped the way a parallel resume expects.
 
 The DAG comes from :func:`repro.dag.build_dag`'s per-shape cache, with
 the priority order computed once per tile size
-(:meth:`~repro.dag.builder.TiledQRDag.priority`).  All bookkeeping runs
-on task ids: the ready heap holds each task's int position in that
-order, and completions decrement a copy of the DAG's in-degree list
-through its CSR successor arrays.  :class:`~repro.dag.tasks.Task`
+(:meth:`~repro.dag.builder.TiledQRDag.priority`).  Ranks fall strictly
+along every edge, so that order is itself topological: the serial
+runtime walks it inline on the caller's thread, skipping a resume's
+completed tasks, and only logs each completion
+(:meth:`TaskGraphRun.record`).  The ready heap serves the parallel
+policies: it holds each ready task's int position in the order, and
+:meth:`TaskGraphRun.complete` decrements a copy of the DAG's in-degree
+list through its CSR successor arrays.  :class:`~repro.dag.tasks.Task`
 objects appear only where a task leaves the loop — kernels, the factor
 log, ``completed_order``, checkpoints, traces and events.
 
@@ -394,10 +397,13 @@ class TaskGraphRun:
     """One task-graph factorization in flight: the state every dispatch
     policy shares.
 
-    A policy drives it with :meth:`pop` (``(task id, task)`` of the
-    highest-rank ready task), :meth:`execute` (one kernel with its span,
-    events and retry envelope), :meth:`complete` (release successors by
-    id; True when a checkpoint is due) and :meth:`checkpoint`.  Nothing
+    A parallel policy drives it with :meth:`pop` (``(task id, task)`` of
+    the highest-rank ready task), :meth:`execute` (one kernel with its
+    span, events and retry envelope; bound to the bare kernel call when
+    the run has no tracer, bus or retry policy), :meth:`complete`
+    (:meth:`record` and release successors by id; True when a checkpoint
+    is due) and :meth:`checkpoint`; the serial policy walks :attr:`order`
+    with :meth:`execute` and :meth:`record` alone.  Nothing
     here locks: a concurrent policy serializes :meth:`pop`,
     :meth:`complete` and :meth:`checkpoint` itself and runs
     :meth:`execute` unlocked.
@@ -434,6 +440,7 @@ class TaskGraphRun:
                 self.factors[factor_key(task)] = f
         self.total = len(dag.tasks)
         self.done = len(done_ids)
+        self.done_ids = done_ids
         self.workspaces: list[Workspace] = []
 
         self.metrics = opts.metrics
@@ -458,12 +465,15 @@ class TaskGraphRun:
             opts.checkpoint_every, opts.checkpoint_path, dag, tiled, self.shape,
             opts.metrics, self.tracer, opts.bus,
         )
+        if self.bus is None and self.tracer is None and self.policy is None:
+            factors = self.factors  # bare kernel calls: skip execute's checks
+            self.execute = lambda task, ws, device: apply_task(task, tiled, factors, ws)
 
         # The ready heap holds each task's position in the DAG's priority
         # order: highest bottom-level rank first, emission order breaking
         # ties.  Chunks of one batch share its position and pop in
         # column order from ``_chunks``.
-        self._order, self._position = dag.priority(tiled.tile_size)
+        self.order, self._position = dag.priority(tiled.tile_size)
         self._tasks = dag.tasks
         self._succ_ptr, self._succ_idx = dag.succ_ptr, dag.succ_idx
         self.split = split
@@ -499,7 +509,7 @@ class TaskGraphRun:
         ready."""
         if not self._heap:
             return None
-        tid = self._order[heappop(self._heap)]
+        tid = self.order[heappop(self._heap)]
         chunks = self._chunks.get(tid) if self._chunks else None
         if chunks is None:
             return tid, self._tasks[tid]
@@ -556,9 +566,20 @@ class TaskGraphRun:
             metrics=self.metrics, tracer=self.tracer, device=device, bus=self.bus,
         )
 
+    def record(self, tid: int, produced) -> bool:
+        """Log finished task ``tid``: its factors, ``completed_order``
+        and the checkpoint count; True when a checkpoint is due.  A policy
+        that walks :attr:`order` calls it alone."""
+        task = self._tasks[tid]
+        if produced is not None:
+            self.log.append((task, produced))
+        self.completed_order.append(task)
+        self.done += 1
+        return self.checkpoints.task_done()
+
     def complete(self, tid: int, produced) -> bool:
-        """Record finished task ``tid`` (or one of its chunks) and
-        release its successors; True when a checkpoint is due."""
+        """:meth:`record` finished task ``tid`` (or one of its chunks)
+        and release its successors; True when a checkpoint is due."""
         chunks_left = self._chunks_left
         if chunks_left and tid in chunks_left:
             left = chunks_left[tid] - 1
@@ -566,11 +587,7 @@ class TaskGraphRun:
                 chunks_left[tid] = left
                 return False  # siblings still running
             del chunks_left[tid]
-        task = self._tasks[tid]
-        if produced is not None:
-            self.log.append((task, produced))
-        self.completed_order.append(task)
-        self.done += 1
+        due = self.record(tid, produced)
         waiting = self._waiting
         ptr = self._succ_ptr
         for succ in self._succ_idx[ptr[tid] : ptr[tid + 1]]:
@@ -578,7 +595,7 @@ class TaskGraphRun:
             waiting[succ] = left
             if left == 0:
                 self._release(succ)
-        return self.checkpoints.task_done()
+        return due
 
     def checkpoint(self, device: str) -> None:
         """Snapshot the completed frontier; call with no task in flight
@@ -632,12 +649,13 @@ class SerialRuntime(TaskGraphRuntime):
         super().__init__(elimination=elimination, **options)
 
     def _dispatch(self, run: TaskGraphRun) -> None:
+        # The heap would pop the (topological) priority order in sequence.
         workspace = run.workspace()
-        execute, complete = run.execute, run.complete
+        execute, record, tasks = run.execute, run.record, run.dag.tasks
+        order = [t for t in run.order if t not in run.done_ids] if run.done_ids else run.order
         with blas_threads(1):
-            while (ready := run.pop()) is not None:
-                tid, task = ready
-                if complete(tid, execute(task, workspace, "serial")):
+            for tid in order:
+                if record(tid, execute(tasks[tid], workspace, "serial")):
                     run.checkpoint("serial")
 
 

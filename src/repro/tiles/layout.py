@@ -222,6 +222,12 @@ class TiledMatrix:
             )
         return self._tiles[i][j]
 
+    @property
+    def tile_rows(self) -> list[list[np.ndarray]]:
+        """The live grid, ``tile_rows[i][j] is tile(i, j)``, for callers
+        whose indices are valid by construction (no range check)."""
+        return self._tiles
+
     def set_tile(self, i: int, j: int, value: np.ndarray) -> None:
         """Replace tile ``(i, j)`` contents (shape- and dtype-checked).
 

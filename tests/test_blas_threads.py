@@ -156,6 +156,31 @@ def test_r_is_bit_identical_across_runtimes(optimizer, n, b):
     assert np.array_equal(serial, multi)
 
 
+class TestCallerCountRestored:
+    """The entry points beyond ``factorize`` on the in-process runtimes
+    leave the caller's BLAS thread count as they found it."""
+
+    def test_lstsq(self):
+        from repro.linalg import lstsq
+
+        rng = np.random.default_rng(2)
+        lstsq(rng.standard_normal((256, 64)), rng.standard_normal((256, 3)), B)
+        assert blas.get_num_threads() == CALLER
+
+    def test_apply_qt_and_apply_q(self):
+        fact = SerialRuntime().factorize(_matrix(), B)
+        x = np.random.default_rng(3).standard_normal((128, 2))
+        y = fact.apply_qt(x)
+        assert blas.get_num_threads() == CALLER
+        np.testing.assert_allclose(fact.apply_q(y), x, atol=1e-12)
+        assert blas.get_num_threads() == CALLER
+
+    def test_multiprocess_factorize(self, optimizer):
+        plan = optimizer.plan(matrix_size=128, tile_size=B, num_devices=2)
+        MultiprocessRuntime(plan).factorize(_matrix(), B)
+        assert blas.get_num_threads() == CALLER
+
+
 class TestMultiprocessWorker:
     @pytest.fixture
     def probe(self):

@@ -1,5 +1,7 @@
 """Tests for task definitions, the DAG builder, analysis and export."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -324,3 +326,18 @@ class TestSharedDag:
         s1, s2 = SolveDag(4), SolveDag(4)
         assert s1 is not s2 and s1.tasks == s2.tasks
         s1.validate()
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("tree", tree_names())
+def test_priority_order_is_topological(tree, batch):
+    """Every edge runs forward in ``dag.priority(b)``: the serial runtime
+    walks that order as its schedule, with no ready heap."""
+    grids = {"square": (6, 6), "tall": (12, 3), "ragged": (7, 5), "1x1": (1, 1)}
+    for (p, q), b in itertools.product(grids.values(), (16, 64, 128)):
+        dag = build_dag(p, q, tree, batch)
+        order, position = dag.priority(b)
+        assert sorted(order) == list(range(len(dag.tasks)))
+        for u in range(len(dag.tasks)):
+            for v in dag.succ_ids(u):
+                assert position[u] < position[v], (p, q, b, dag.tasks[u], dag.tasks[v])

@@ -487,3 +487,117 @@ class TestKernelContract:
             for got, want in zip(results[f32], results[np.float64]):
                 assert got.dtype == f32
                 np.testing.assert_allclose(got, want, rtol=0, atol=tolerance_for(f32))
+
+
+# -- prepared update calls -------------------------------------------------------
+
+
+@pytest.fixture
+def prepared_runs(monkeypatch):
+    """``(factor, ran)`` for each update call: whether it repeated the
+    factor's prepared LAPACK call."""
+    runs, real = [], lapack.prepared
+
+    def spy(f, *args):
+        ran = real(f, *args)
+        runs.append((f, ran))
+        return ran
+
+    monkeypatch.setattr(lapack, "prepared", spy)
+    return runs
+
+
+class TestPreparedCall:
+    """A factor's later update calls repeat the argument tuple its first
+    call prepared; each result is bit-identical to the same call on a
+    freshly made factor, and any call the tuple does not fit falls back."""
+
+    B = 16
+
+    @staticmethod
+    def _check(kernel, f, make, **kwargs):
+        """Apply ``f`` and a fresh copy of it to tiles from ``make()``."""
+        want, got = make(), make()
+        kernel(dataclasses.replace(f), *want, **kwargs)
+        kernel(f, *got, **kwargs)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @staticmethod
+    def _tiles(*shapes, dtype=np.float64, seed=0):
+        def make():
+            rng = np.random.default_rng(seed)
+            return [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+        return make
+
+    def _factors(self, rng, dtype=np.float64):
+        b = self.B
+        fe = tsqrt(_triangle(rng, b, dtype), rng.standard_normal((b, b)).astype(dtype))
+        fg = geqrt(rng.standard_normal((b, b)).astype(dtype))
+        return fe, fg
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_factor_through_two_workspaces(self, prepared_runs, rng, dtype):
+        b = self.B
+        fe, fg = self._factors(rng, dtype)
+        pair, tile = self._tiles((b, b), (b, b), dtype=dtype), self._tiles((b, b), dtype=dtype)
+        workspaces = [Workspace(), Workspace()]
+        with blas.blas_threads(1):
+            for transpose in (True, False):
+                for i in range(6):
+                    ws = workspaces[i // 2 % 2]
+                    self._check(tsmqr, fe, pair, transpose=transpose, workspace=ws)
+                    self._check(unmqr, fg, tile, transpose=transpose, workspace=ws)
+        # A call repeats the prepared call only when the one before it on
+        # this factor had the same workspace and direction.
+        for f in (fe, fg):
+            assert [r for g, r in prepared_runs if g is f] == [False, True] * 6
+
+    def test_work_buffer_grows_between_calls(self, prepared_runs, rng):
+        b = self.B
+        fe, fg = self._factors(rng)
+        other, _ = self._factors(rng)
+        pair, panels = self._tiles((b, b), (b, b)), self._tiles((b, 8 * b), (b, 8 * b))
+        tile, panel = self._tiles((b, b)), self._tiles((b, 8 * b))
+        ws = Workspace()
+        with blas.blas_threads(1):
+            self._check(tsmqr, fe, pair, workspace=ws)
+            self._check(unmqr, fg, tile, workspace=ws)
+            # A row panel needs a larger WORK: the workspace replaces the
+            # buffer the prepared calls point at.
+            self._check(tsmqr_batch, other, panels, workspace=ws)
+            [np.ones(8 * b * b) for _ in range(4)]  # reuse freed memory
+            for _ in range(2):
+                self._check(tsmqr, fe, pair, workspace=ws)
+                self._check(unmqr, fg, tile, workspace=ws)
+                self._check(tsmqr_batch, fe, panels, workspace=ws)
+                self._check(unmqr_batch, fg, panel, workspace=ws)
+        for f in (fe, fg):
+            assert [r for g, r in prepared_runs if g is f] == [False, True, False, False, False]
+
+    def test_read_only_and_strided_tiles_fall_back(self, prepared_runs, rng):
+        b = self.B
+        fe, fg = self._factors(rng)
+        pair, tile = self._tiles((b, b), (b, b)), self._tiles((b, b))
+
+        def strided():  # column stride 2, then a contiguous tile
+            return [np.random.default_rng(1).standard_normal((b, 2 * b))[:, ::2], tile()[0]]
+
+        ws = Workspace()
+        with blas.blas_threads(1):
+            self._check(tsmqr, fe, pair, workspace=ws)
+            self._check(unmqr, fg, tile, workspace=ws)
+            self._check(tsmqr, fe, strided, workspace=ws)
+            self._check(unmqr, fg, lambda: strided()[:1], workspace=ws)
+            read_only = tile()[0]
+            read_only.flags.writeable = False
+            for kernel, f, tiles in ((tsmqr, fe, [read_only, tile()[0]]), (unmqr, fg, [read_only])):
+                for factor in (dataclasses.replace(f), f):
+                    with pytest.raises(ValueError, match="read-only"):
+                        kernel(factor, *tiles, workspace=ws)
+            np.testing.assert_array_equal(read_only, tile()[0])
+            self._check(tsmqr, fe, pair, workspace=ws)
+            self._check(unmqr, fg, tile, workspace=ws)
+        for f in (fe, fg):
+            assert [r for g, r in prepared_runs if g is f] == [False] * 3 + [True]

@@ -284,6 +284,21 @@ class TestTimingModelRoundTrip:
             for b in (16, 64):
                 assert fitted.time(step, b) == pytest.approx(model.time(step, b), rel=1e-6)
 
+    def test_step_pools_each_kind_once_over_devices(self):
+        # TSQRT at 1 s on each of two devices, TTQRT at 4 s on one:
+        # E = (1 + 1 + 4) / 3 calls, not TSQRT counted once per device.
+        recs = [
+            TaskRecord(task=Task(kind, 0, 1, 0, 0), device_id=dev, start=0.0, end=secs)
+            for kind, dev, secs in (
+                (TaskKind.TSQRT, "a", 1.0), (TaskKind.TSQRT, "b", 1.0), (TaskKind.TTQRT, "a", 4.0),
+            )
+        ]
+        store = ProfileStore()
+        store.ingest_trace(ExecutionTrace(tasks=recs, transfers=[]), tile_size=16)
+        assert store.step_measurements()[Step.E][16] == pytest.approx(2.0)
+        assert store.step_measurements("a")[Step.E][16] == pytest.approx(2.5)
+        assert store.step_measurements("b")[Step.E][16] == pytest.approx(1.0)
+
     def test_missing_step_falls_back_to_base(self):
         base = paper_cpu_i7_3820().timing
         rec = TaskRecord(
